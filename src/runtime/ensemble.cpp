@@ -1,5 +1,6 @@
 #include "runtime/ensemble.hpp"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -82,6 +83,16 @@ EnsembleSchedule BuildEnsembleSchedule(const std::vector<SweepPoint>& points,
     }
   }
   return schedule;
+}
+
+std::vector<std::size_t> OrderLongestFirst(const std::vector<SweepPoint>& points,
+                                           std::vector<std::size_t> order) {
+  std::stable_sort(order.begin(), order.end(),
+                   [&points](std::size_t a, std::size_t b) {
+                     return points[a].config.window_size >
+                            points[b].config.window_size;
+                   });
+  return order;
 }
 
 }  // namespace ultra::runtime

@@ -9,9 +9,10 @@
 //
 //   1. Group points by program content (and register-file size, which is
 //      part of the functional-oracle key).
-//   2. Schedule each group's members adjacently, so workers claiming
-//      consecutive slots keep the same program's working set hot, and warm
-//      the functional oracle once per group before the members run.
+//   2. Warm the functional oracle once per group before the members run,
+//      and list each group's members adjacently. The runner then orders
+//      the work widest window first (OrderLongestFirst), so a group stays
+//      adjacent only within one window-size class.
 //   3. Within a group, members that are *identical points* (same processor
 //      kind and semantically identical configuration) form a lockstep
 //      sub-ensemble: the simulation is deterministic, so every lane of the
@@ -80,5 +81,15 @@ struct EnsembleSchedule {
 /// scheduling.
 [[nodiscard]] EnsembleSchedule BuildEnsembleSchedule(
     const std::vector<SweepPoint>& points, bool check_architectural_state);
+
+/// Returns @p order (submission indices into @p points) stably sorted by
+/// window size, widest first. A point's cost grows about linearly with its
+/// window, so handing out the widest points first keeps a sweep from ending
+/// on one long point while the other workers sit idle. Ties keep their
+/// order in @p order, so same-program groups stay adjacent within each
+/// window-size class. Depends only on the points, never on scheduling, and
+/// changes no outcome: the runner writes outcomes by submission index.
+[[nodiscard]] std::vector<std::size_t> OrderLongestFirst(
+    const std::vector<SweepPoint>& points, std::vector<std::size_t> order);
 
 }  // namespace ultra::runtime

@@ -489,10 +489,9 @@ SweepReport SweepRunner::RunImpl(
   };
 
   // Ensemble batching (runtime/ensemble.hpp): group same-program points,
-  // warm the functional oracle once per group, schedule groups adjacently,
-  // and elect lockstep leaders among interchangeable points. Outcomes are
-  // byte-identical with batching on or off; with it off every point leads
-  // itself and the run order is plain submission order.
+  // warm the functional oracle once per group, and elect lockstep leaders
+  // among interchangeable points. Outcomes are byte-identical with batching
+  // on or off; with it off every point leads itself.
   EnsembleSchedule schedule;
   if (options_.ensemble_batching && points.size() > 1) {
     schedule =
@@ -531,11 +530,14 @@ SweepReport SweepRunner::RunImpl(
 
   // Followers restored from the journal must restore through body (it
   // copies the journaled outcome); followers that are not restored are
-  // filled in from their leader after the join.
+  // filled in from their leader after the join. Batched or not, points are
+  // handed out widest window first, so the sweep does not end with the
+  // other workers idle behind a late n=1024 point.
   std::vector<std::size_t> run_list = schedule.run_order;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (schedule.leader[i] != i && restored(i)) run_list.push_back(i);
   }
+  run_list = OrderLongestFirst(points, std::move(run_list));
 
   const auto run_indices = [&](const std::vector<std::size_t>& indices) {
     ParallelFor(

@@ -253,6 +253,10 @@ struct BadSource {
   const char* source;
 };
 
+// Without this gtest would print the two pointers' bytes into the test name,
+// and those change with every load address.
+void PrintTo(const BadSource& bad, std::ostream* os) { *os << bad.name; }
+
 class AssemblerErrors : public testing::TestWithParam<BadSource> {};
 
 TEST_P(AssemblerErrors, ReportsError) {

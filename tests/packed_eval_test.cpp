@@ -331,6 +331,53 @@ TEST(EnsembleSchedule, DifferentConfigsNeverFollow) {
   EXPECT_EQ(schedule.run_order.size(), 2u);
 }
 
+TEST(EnsembleSchedule, OrderLongestFirstIsWidestFirstAndStable) {
+  const auto prog_a = std::make_shared<isa::Program>(
+      workloads::DependencyChains({.num_instructions = 100, .ilp = 2}));
+  const auto prog_b = std::make_shared<isa::Program>(
+      workloads::RandomMix({.num_instructions = 80, .seed = 2}));
+  // Submitted with windows ascending, as the paper's sweeps are.
+  std::vector<runtime::SweepPoint> points;
+  for (const int window : {16, 64, 256}) {
+    for (const auto& prog : {prog_a, prog_b}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {  // Repeat 1 follows.
+        runtime::SweepPoint p;
+        p.program = prog;
+        p.config.window_size = window;
+        points.push_back(std::move(p));
+      }
+    }
+  }
+  const auto schedule = runtime::BuildEnsembleSchedule(points, false);
+  ASSERT_EQ(schedule.run_order,
+            (std::vector<std::size_t>{0, 4, 8, 2, 6, 10}));
+
+  const auto order = runtime::OrderLongestFirst(points, schedule.run_order);
+  // Widest first; within a window class the schedule's order (prog_a's
+  // group, then prog_b's) is kept; followers 1, 3, 5, ... never appear.
+  EXPECT_EQ(order, (std::vector<std::size_t>{8, 10, 4, 6, 0, 2}));
+  EXPECT_EQ(runtime::OrderLongestFirst(points, schedule.run_order), order);
+
+  // Every index of a tie keeps its relative order, whatever that order is.
+  EXPECT_EQ(runtime::OrderLongestFirst(points, {7, 5, 11, 9, 3}),
+            (std::vector<std::size_t>{11, 9, 7, 5, 3}));
+  EXPECT_TRUE(runtime::OrderLongestFirst(points, {}).empty());
+
+  // Long runs of ties, past the size where a sort falls back to insertion
+  // sort (which is stable by accident).
+  std::vector<runtime::SweepPoint> many(96);
+  std::vector<std::size_t> all(many.size()), wide, narrow;
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    many[i].config.window_size = i % 3 == 0 ? 128 : 32;
+    all[i] = many.size() - 1 - i;  // Descending indices: not the identity.
+  }
+  for (const std::size_t i : all) {
+    (many[i].config.window_size == 128 ? wide : narrow).push_back(i);
+  }
+  wide.insert(wide.end(), narrow.begin(), narrow.end());
+  EXPECT_EQ(runtime::OrderLongestFirst(many, all), wide);
+}
+
 /// A sweep mixing repeated (interchangeable) points, distinct configs, and
 /// distinct programs must export identical outcomes with batching on and
 /// off, at one thread and several.

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,6 +175,58 @@ TEST(SweepRunner, ExportIsIdenticalAtAnyThreadCount) {
   EXPECT_EQ(csv1.str(), csv4.str());
   EXPECT_EQ(json1.str(), json4.str());
   EXPECT_NE(csv1.str().find("fib(10)"), std::string::npos);
+}
+
+TEST(SweepRunner, WidestFirstDispatchKeepsExportsIdentical) {
+  // Windows ascending within each kind: the shape the runner reorders, so
+  // outcomes come back in a different order from the one they ran in.
+  const auto sort = std::make_shared<const isa::Program>(
+      workloads::BubbleSort(12));
+  const auto fib = std::make_shared<const isa::Program>(
+      workloads::Fibonacci(10));
+  std::vector<runtime::SweepPoint> points;
+  for (const auto kind :
+       {core::ProcessorKind::kIdeal, core::ProcessorKind::kUltrascalarII}) {
+    for (const auto& program : {fib, sort}) {
+      for (const int window : {4, 16, 64, 64}) {  // The repeat follows.
+        runtime::SweepPoint p;
+        p.kind = kind;
+        p.config.window_size = window;
+        p.config.mem.mode = memory::MemTimingMode::kMagic;
+        p.program = program;
+        p.workload = program == fib ? "fib(10)" : "sort(12)";
+        points.push_back(std::move(p));
+      }
+    }
+  }
+
+  const auto exports = [&](int threads, bool batching) {
+    runtime::SweepOptions options;
+    options.num_threads = threads;
+    options.check_architectural_state = true;
+    options.ensemble_batching = batching;
+    const auto outcomes = runtime::SweepRunner(options).Run(points);
+    EXPECT_EQ(outcomes.size(), points.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].index, i);
+      EXPECT_EQ(outcomes[i].config.window_size, points[i].config.window_size);
+      EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    }
+    std::ostringstream csv, json;
+    runtime::WriteCsv(csv, outcomes);
+    runtime::WriteJson(json, outcomes);
+    return std::make_pair(csv.str(), json.str());
+  };
+  const auto reference = exports(1, false);
+  for (const bool batching : {false, true}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, batching " +
+                   (batching ? "on" : "off"));
+      const auto got = exports(threads, batching);
+      EXPECT_EQ(got.first, reference.first);
+      EXPECT_EQ(got.second, reference.second);
+    }
+  }
 }
 
 TEST(SweepRunner, ArchitecturalStateCheckPassesOnCorrectCores) {

@@ -7,10 +7,12 @@
 //
 // The "crash" here is SweepService::Stop(drain=false): a hard cooperative
 // cancel that joins threads but, like a real SIGKILL, writes no done
-// records and journals no cancelled points. The CI service smoke job
-// (scripts/service_smoke.sh) covers the literal kill -9 against a live
-// daemon process; these tests keep the same recovery machinery under gtest
-// and ASan.
+// records and journals no cancelled points. The crash-restart test first
+// freezes the disk with a silent failpoint crash at a counted I/O
+// operation, so the crash lands mid-sweep however fast the sweep runs. The
+// CI service smoke job (scripts/service_smoke.sh) covers the literal
+// kill -9 against a live daemon process; these tests keep the same
+// recovery machinery under gtest and ASan.
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -22,10 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include "failpoint/failpoint.hpp"
 #include "isa/assembler.hpp"
 #include "persist/journal.hpp"
 #include "persist/serial.hpp"
 #include "runtime/sweep_io.hpp"
+#include "runtime/sweep_journal.hpp"
 #include "runtime/sweep_runner.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -114,6 +118,15 @@ std::string LocalCsv(const std::vector<runtime::SweepPoint>& points) {
   runtime::WriteCsv(os, runner.Run(points));
   return os.str();
 }
+
+/// Resets the process-wide failpoint registry on entry and exit, so a test
+/// that arms the seam never leaves it armed or frozen for the next test.
+struct FailpointReset {
+  FailpointReset() { failpoint::Registry::Instance().Reset(); }
+  ~FailpointReset() { failpoint::Registry::Instance().Reset(); }
+  FailpointReset(const FailpointReset&) = delete;
+  FailpointReset& operator=(const FailpointReset&) = delete;
+};
 
 std::string ReadFileText(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -441,8 +454,10 @@ TEST(SweepService, SecondDaemonOnSameStateDirIsRefused) {
 
 TEST(SweepService, CrashRestartResumesToByteIdenticalExport) {
   const TempDir tmp;
-  // A sweep long enough that the hard stop lands mid-run: 16 points of a
-  // real kernel across all four cores.
+  const FailpointReset failpoint_reset;
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  // 16 points of a real kernel across all four cores: enough journal
+  // appends for a crash to land strictly inside the sweep.
   const auto program =
       std::make_shared<const isa::Program>(workloads::BubbleSort(60));
   std::vector<runtime::SweepPoint> points;
@@ -458,25 +473,67 @@ TEST(SweepService, CrashRestartResumesToByteIdenticalExport) {
       points.push_back(std::move(p));
     }
   }
+  service::SubmitRequest req;
+  req.points = points;
+  req.detach = true;
+  req.csv_name = "crash.csv";
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return done();
+  };
+
+  // Counting pass, as tests/chaos_test.cpp counts: the same request through
+  // an uninterrupted daemon, the failpoint seam counting I/O operations
+  // only. The span from the acknowledgement to completion holds the
+  // sweep's journal appends, its export and its done record. Completion is
+  // polled through counters(), which does no seam I/O.
+  std::uint64_t span = 0;
+  {
+    service::ServiceOptions options = MakeOptions(tmp);
+    options.socket_path = tmp.File("count.sock");
+    options.state_dir = tmp.File("count-state");
+    service::SweepService svc(std::move(options));
+    svc.Start();
+    reg.EnableCounting();
+    service::SweepClient client(svc.options().socket_path);
+    ASSERT_EQ(client.Submit(req).status, service::AdmitStatus::kAccepted);
+    const std::uint64_t acked = reg.ops();
+    ASSERT_TRUE(wait_until([&] { return svc.counters().completed == 1; }));
+    span = reg.ops() - acked;
+    reg.Reset();
+    svc.Stop(/*drain=*/true);
+  }
+  ASSERT_GT(span, 2 * points.size()) << "every point appends to the journal";
 
   std::uint64_t id = 0;
   {
     service::SweepService svc(MakeOptions(tmp));
     svc.Start();
+    reg.EnableCounting();
     service::SweepClient client(svc.options().socket_path);
-    service::SubmitRequest req;
-    req.points = points;
-    req.detach = true;
-    req.csv_name = "crash.csv";
     const service::SubmitReply admitted = client.Submit(req);
     ASSERT_EQ(admitted.status, service::AdmitStatus::kAccepted);
     id = admitted.request_id;
-    // Let some — ideally not all — points complete, then "crash": a hard
-    // stop writes no done record and journals no cancelled points, exactly
-    // like a SIGKILL (minus the thread joins gtest needs).
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    // "Crash" half-way through that span, after some points are journaled
+    // and before all of them are. Silent mode freezes the disk at that
+    // operation, exactly like a SIGKILL, while the threads keep running so
+    // the hard stop can join them: it writes no done record and journals
+    // no cancelled points.
+    reg.ArmCrashAtOp(reg.ops() + span / 2, failpoint::CrashMode::kSilent);
+    ASSERT_TRUE(wait_until([&] { return reg.crashed(); }));
     svc.Stop(/*drain=*/false);
   }
+  reg.Reset();
+  const std::size_t journaled =
+      runtime::ReadSweepJournal(
+          tmp.File("state/req-" + std::to_string(id) + ".journal"))
+          .outcomes.size();
+  EXPECT_GT(journaled, 0u);
+  EXPECT_LT(journaled, points.size());
 
   {
     service::SweepService svc(MakeOptions(tmp));
@@ -514,7 +571,11 @@ TEST(SweepService, DrainStopFinishesInFlightAndRequeuesOnRestart) {
     const service::SubmitReply admitted = client.Submit(req);
     ASSERT_EQ(admitted.status, service::AdmitStatus::kAccepted);
     spin_id = admitted.request_id;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Wait for the executor to take the spin off the queue: it is in flight.
+    for (int i = 0; i < 200 && svc.queue_depth() != 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(svc.queue_depth(), 0u);
     // Drain: admissions stop, the spin gets its 0.3 s budget, then the
     // escalation cancels it — without a done record, so it survives.
     svc.Stop(/*drain=*/true);

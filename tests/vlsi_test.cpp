@@ -3,6 +3,7 @@
 // sizes, dominance relations, and the 3-D bounds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "vlsi/vlsi.hpp"
@@ -80,6 +81,9 @@ TEST(Figure12, DensityRatioIsAboutElevenPointFive) {
 
 struct RegimeCase {
   BandwidthRegime regime;
+  // Fills the padding after `regime`. gtest prints this struct byte by byte
+  // into the test name, so no byte of it may be left indeterminate.
+  std::int32_t reserved = 0;
   double usi_wire_exp;     // Expected Theta exponent of US-I wire delay.
   double hybrid_wire_exp;  // Expected exponent of hybrid wire delay.
   double scale = 1.0;      // Bandwidth scale; large values reach the
@@ -110,15 +114,24 @@ INSTANTIATE_TEST_SUITE_P(
     Regimes, WireScaling,
     testing::Values(
         // Case 1: M(n) = O(n^{1/2-e}): wire Theta(sqrt(n) L).
-        RegimeCase{BandwidthRegime::kSqrtMinus, 0.5, 0.5},
+        RegimeCase{.regime = BandwidthRegime::kSqrtMinus,
+                   .usi_wire_exp = 0.5,
+                   .hybrid_wire_exp = 0.5},
         // Case 2: M(n) = Theta(n^{1/2}): still sqrt-dominated.
-        RegimeCase{BandwidthRegime::kSqrt, 0.5, 0.5},
+        RegimeCase{.regime = BandwidthRegime::kSqrt,
+                   .usi_wire_exp = 0.5,
+                   .hybrid_wire_exp = 0.5},
         // Case 3: M(n) = Omega(n^{1/2+e}) with e=0.25: M dominates (the
         // scale puts the sweep past the crossover, where the Theta bound
         // governs).
-        RegimeCase{BandwidthRegime::kSqrtPlus, 0.75, 0.75, 60.0},
+        RegimeCase{.regime = BandwidthRegime::kSqrtPlus,
+                   .usi_wire_exp = 0.75,
+                   .hybrid_wire_exp = 0.75,
+                   .scale = 60.0},
         // Full bandwidth: everything is Theta(n).
-        RegimeCase{BandwidthRegime::kLinear, 1.0, 1.0}),
+        RegimeCase{.regime = BandwidthRegime::kLinear,
+                   .usi_wire_exp = 1.0,
+                   .hybrid_wire_exp = 1.0}),
     [](const auto& info) {
       switch (info.param.regime) {
         case BandwidthRegime::kSqrtMinus: return std::string("SqrtMinus");
