@@ -1,885 +1,148 @@
 #include "core/hybrid_core.hpp"
 
-#include <cassert>
-
-#include <bit>
-
-#include "core/checkpoint_util.hpp"
-#include "core/exec.hpp"
-#include "core/fetch.hpp"
-#include "core/telemetry_hooks.hpp"
-#include "datapath/bitset.hpp"
+#include "core/window_engine.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/packed_resolve.hpp"
-#include "datapath/scheduler.hpp"
-#include "datapath/sequencing.hpp"
-#include "fault/fault.hpp"
 
 namespace ultra::core {
 
-RunResult HybridCore::Run(const isa::Program& program) {
-  const int C = config_.cluster_size;
-  const int K = std::max(1, config_.window_size / C);
-  const int n = K * C;  // Effective window (round down to whole clusters).
-  const int L = config_.num_regs;
-  datapath::HybridDatapath dp(n, L, C);
-  memory::MemorySystem mem(config_.mem, n);
-  mem.Reset(program.initial_memory());
-  FetchEngine fetch(&program, config_, MakePredictor(config_, program));
+namespace {
 
-  // Stations are stored cluster-major in absolute ring positions; program
-  // position p (counted from the head cluster's slot 0) maps to station
-  // StationIndex(p).
-  std::vector<Station> stations(static_cast<std::size_t>(n));
-  std::vector<datapath::RegBinding> committed(static_cast<std::size_t>(L));
-  for (auto& b : committed) b.ready = true;
-
-  int head_cluster = 0;
-  int tail = 0;        // Program positions [0, tail) hold instructions.
-  int commit_ptr = 0;  // Positions [0, commit_ptr) are committed.
-  std::uint64_t next_seq = 0;
-  InflightMap inflight;
-  RunResult result;
-  bool done = false;
-
-  const auto station_index = [&](int pos) {
-    const int cluster = (head_cluster + pos / C) % K;
-    return cluster * C + pos % C;
-  };
-
-  // Checked mode runs the incremental machinery plus the cross-validation
-  // below, so everything keyed on `incremental` applies to it too.
-  const bool incremental =
-      config_.datapath_eval != DatapathEval::kFullRecompute;
-  const bool checked = config_.datapath_eval == DatapathEval::kChecked;
-  // Word-parallel packed mode: sequencing flags, acyclic prefixes, ALU
-  // grants, and the execute phase's visit set evaluate 64 program
-  // positions per word op (the packed lanes are position-indexed, not
-  // station-indexed). kPacked always runs the packed cycle loop; the
-  // `fast` tier additionally replaces the per-cycle request rebuild and
-  // mesh propagation with event-driven argument resolution over
-  // per-register writer/reader rows. Fault plans keep the propagation
-  // machinery underneath the packed walk (corruptions live inside
-  // dp_state), but never change the executed loop.
-  const bool packed = config_.datapath_eval == DatapathEval::kPacked;
-  const bool fast = packed && config_.fault_plan == nullptr;
-  const bool maintain_dp = incremental && !fast;
-
-  fault::FaultInjector injector(config_.fault_plan.get());
-  fault::DatapathChecker checker(config_.checker_stride);
-  // Checked-mode scratch: the per-station resolved arguments the execute
-  // phase would consume.
-  std::vector<datapath::ResolvedArgs> check_args;
-  if (checked) check_args.resize(static_cast<std::size_t>(n));
-  std::vector<int> fault_stall(static_cast<std::size_t>(n), 0);
-
-  CoreTelemetry tel(config_);
-  // Program-position last writer per register (propagation-distance metric).
-  std::vector<int> last_writer(static_cast<std::size_t>(L));
-
-  // Persistent datapath state for the incremental path.
-  datapath::HybridDatapathState dp_state(n, L, C);
-  for (int r = 0; r < L; ++r) {
-    dp_state.SetCommitted(r, committed[static_cast<std::size_t>(r)]);
+/// The hybrid's register network: clusters of C stations route operands
+/// through an Ultrascalar II grid, and register values travel between
+/// clusters on the Ultrascalar I CSPP ring, with the committed file at the
+/// oldest cluster. Clusters are "super execution stations": committed
+/// stations keep driving the ring until their whole cluster frees, and the
+/// ring's head then advances by C.
+class HybridNetwork {
+ public:
+  static constexpr ProcessorKind kKind = ProcessorKind::kHybrid;
+  static constexpr RetireRule kRetire = RetireRule::kCluster;
+  static constexpr bool kStallSkipsFinished = true;
+  /// The window rounds down to whole clusters.
+  static int Stations(const CoreConfig& config) {
+    return std::max(1, config.window_size / config.cluster_size) *
+           config.cluster_size;
   }
-  datapath::HybridPropagation prop;  // Full-recompute path only.
+  static bool FastTierOk(const CoreConfig&) { return true; }
 
-  std::vector<datapath::StationRequest> requests(
-      static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> no_store(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> no_load(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> branch_ok(static_cast<std::size_t>(n));
-  // Per-cycle scratch, hoisted out of the loop so the hot path does not
-  // touch the allocator (capacity is reused across cycles).
-  std::vector<std::uint8_t> prev_stores_done(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> prev_loads_done(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> prev_confirmed(static_cast<std::size_t>(n));
-  std::vector<MemWindowEntry> mem_window;
-  std::vector<std::uint8_t> alu_requests;
-  std::vector<std::uint8_t> alu_grant;  // Indexed by program position.
-  std::vector<FetchedInstr> fetch_batch;
-
-  // Packed per-cycle scratch (kPacked only), lanes indexed by program
-  // position: recomposed over [0, tail) every cycle, so it is derived
-  // state and never checkpointed. Lanes at or beyond tail may hold stale
-  // values from a cycle with a larger tail; every whole-word reduction
-  // below masks to the live range.
-  const int pw = datapath::PackedWordCount(n);
-  datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
-      cf_b, alu_like_b, needs_alu_b, argr_b, cond_b, psd_b, pld_b, pcf_b,
-      req_b, grant_b, stall_b, stale_b;
-  if (packed) {
-    for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
-                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &cond_b,
-                    &psd_b, &pld_b, &pcf_b, &req_b, &grant_b, &stall_b,
-                    &stale_b}) {
-      p->Assign(n);
+  HybridNetwork(const CoreConfig& config, bool fast)
+      : C_(config.cluster_size),
+        incremental_(config.datapath_eval != DatapathEval::kFullRecompute),
+        maintain_(incremental_ && !fast),
+        dp_(Stations(config), config.num_regs, C_),
+        dp_state_(Stations(config), config.num_regs, C_),
+        committed_(static_cast<std::size_t>(config.num_regs)),
+        requests_(static_cast<std::size_t>(Stations(config))) {
+    for (int r = 0; r < config.num_regs; ++r) {
+      committed_[static_cast<std::size_t>(r)].ready = true;
+      dp_state_.SetCommitted(r, committed_[static_cast<std::size_t>(r)]);
     }
-  }
-  // Live-lane mask for word @p w given @p limit live positions.
-  const auto live_word_mask = [](int w, int limit) -> std::uint64_t {
-    const int base = w << 6;
-    if (base >= limit) return 0;
-    const int lanes = limit - base;
-    return lanes >= 64 ? ~0ULL : ((1ULL << lanes) - 1);
-  };
-
-  const auto args_of = [&](int i) -> const datapath::ResolvedArgs& {
-    return incremental ? dp_state.args(i)
-                       : prop.args[static_cast<std::size_t>(i)];
-  };
-
-  // Fast-tier state. The writer/reader rows and the stale mask live in
-  // position space (they shift down by C with the masks when a cluster
-  // deallocates); the cached arguments and the memory-window entries live
-  // in station space, which survives renumbering untouched -- a station's
-  // cached binding is a value copy, and a deallocated writer's readers
-  // re-resolve to the committed file, which that writer's commit made
-  // byte-identical to its result.
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_sta;
-  datapath::PackedBits mw_stale_b;  // Station-indexed, unlike stale_b.
-  if (fast) {
-    wmap.Assign(n, L);
-    args_at.resize(static_cast<std::size_t>(n));
-    mem_window_sta.resize(static_cast<std::size_t>(n));
-    mw_stale_b.Assign(n);
-  }
-  const bool fwd = config_.store_forwarding;
-
-  // Fast-tier event helpers, keyed by (position, station). Clearing must
-  // run while the station still holds its instruction.
-  const auto fast_clear_slot = [&](int p, int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    if (isa::WritesRd(inst.op)) wmap.ClearWriter(p, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.ClearReader(p, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.ClearReader(p, inst.rs2);
-    for (auto* m : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
-                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &stale_b}) {
-      m->Clear(p);
-    }
-    mw_stale_b.Clear(i);
-    args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-    if (fwd) mem_window_sta[static_cast<std::size_t>(i)] = MemWindowEntry{};
-  };
-  const auto fast_fill_slot = [&](int p, int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    valid_b.Set(p);
-    const isa::Opcode op = inst.op;
-    if (op == isa::Opcode::kLoad) {
-      ld_b.Set(p);
-    } else if (op == isa::Opcode::kStore) {
-      stb_b.Set(p);
-    } else {
-      alu_like_b.Set(p);
-    }
-    if (isa::IsControlFlow(op)) cf_b.Set(p);
-    if (NeedsAlu(op)) needs_alu_b.Set(p);
-    if (isa::WritesRd(op)) wmap.SetWriter(p, inst.rd);
-    if (isa::ReadsRs1(op)) wmap.AddReader(p, inst.rs1);
-    if (isa::ReadsRs2(op)) wmap.AddReader(p, inst.rs2);
-    stale_b.Set(p);
-    if (fwd) mw_stale_b.Set(i);
-  };
-  // Position @p p's result binding for register @p r changed: only the
-  // readers between p and the next writer of r (inclusive -- a position
-  // both reading and writing r resolves its read against the previous
-  // writer) see a different source. Acyclic position order.
-  const auto mark_result_change = [&](int p, isa::RegId r) {
-    const int nw = datapath::LowestSetInRange(
-        wmap.writers(static_cast<int>(r)), p + 1, n);
-    wmap.OrReadersInCyclicRange(static_cast<int>(r), p + 1,
-                                nw >= 0 ? nw + 1 : 0, stale_b);
-  };
-  // Invert station_index: absolute station slot -> program position.
-  const auto position_of = [&](int i) {
-    return ((i / C - head_cluster + K) % K) * C + i % C;
-  };
-
-  CheckpointSession ckpt(config_, ProcessorKind::kHybrid, program);
-  const auto save_state = [&](persist::Encoder& e) {
-    for (const Station& st : stations) SaveStation(e, st);
-    for (const auto& b : committed) datapath::Save(e, b);
-    e.I32(head_cluster);
-    e.I32(tail);
-    e.I32(commit_ptr);
-    e.U64(next_seq);
-    SaveInflight(e, inflight);
-    SavePartialResult(e, result);
-    for (const int s : fault_stall) e.I32(s);
-    dp_state.SaveState(e);
-    injector.SaveState(e);
-    checker.SaveState(e);
-    fetch.SaveState(e);
-    mem.SaveState(e);
-    SaveTelemetrySlots(e, config_);
-  };
-  std::uint64_t start_cycle = 0;
-  if (ckpt.resume() != nullptr) {
-    persist::Decoder d(ckpt.resume()->state);
-    for (Station& st : stations) RestoreStation(d, st);
-    for (auto& b : committed) datapath::Restore(d, b);
-    head_cluster = d.I32();
-    tail = d.I32();
-    commit_ptr = d.I32();
-    next_seq = d.U64();
-    RestoreInflight(d, inflight);
-    RestorePartialResult(d, result);
-    for (int& s : fault_stall) s = d.I32();
-    dp_state.RestoreState(d);
-    injector.RestoreState(d);
-    checker.RestoreState(d);
-    fetch.RestoreState(d);
-    mem.RestoreState(d);
-    RestoreTelemetrySlots(d, config_);
-    if (!d.AtEnd()) {
-      throw persist::FormatError("trailing checkpoint bytes");
-    }
-    start_cycle = ckpt.resume()->header.cycle;
-    if (fast) {
-      // Rebuild the derived packed shadow from the restored stations. The
-      // cached arguments are a pure function of (stations, committed), so
-      // marking every live position stale makes the first phase-1 drain
-      // recompute exactly the values the uninterrupted run carried.
-      for (int p = 0; p < tail; ++p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) continue;
-        fast_fill_slot(p, i, st);
-        fin_b.SetTo(p, st.finished);
-        iss_b.SetTo(p, st.issued);
-        res_b.SetTo(p, st.resolved);
-        msub_b.SetTo(p, st.mem_submitted);
-      }
+    if (config.datapath_eval == DatapathEval::kChecked) {
+      check_args_.resize(requests_.size());
     }
   }
 
-  for (std::uint64_t cycle = start_cycle; cycle < config_.max_cycles && !done;
-       ++cycle) {
-    if (ckpt.MaybeSave(cycle, save_state)) break;
-    if (config_.cancel && (cycle & 1023u) == 0 &&
-        config_.cancel->load(std::memory_order_relaxed)) {
-      break;  // Abandoned run: halted stays false.
-    }
-    result.cycles = cycle + 1;
-    tel.OnCycle(cycle, tail - commit_ptr);
+  [[nodiscard]] const datapath::RegBinding& reg(int r) const {
+    return committed_[static_cast<std::size_t>(r)];
+  }
+  [[nodiscard]] int FreeUnit() const { return C_; }
 
-    // --- Phase 1: combinational propagation (end-of-last-cycle state). ---
-    if (fast) {
-      // Event-driven delivery: re-resolve only the positions whose
-      // argument source changed since the last cycle (writer result
-      // movement, their own fill, or a squash). Stations are untouched
-      // since the end of the previous cycle, so this drain sees exactly
-      // the snapshot the mesh propagation would have delivered.
-      ForEachSetBit(stale_b, [&](int p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        datapath::ResolvedArgs args;
-        // The nearest preceding writer's binding, verbatim (ready or
-        // not); committed stations keep driving the ring until their
-        // cluster deallocates, and a reader with no preceding writer
-        // takes the committed file.
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
-          const int j =
-              wmap.NearestWriterBeforeAcyclic(p, static_cast<int>(r));
-          return j >= 0
-                     ? stations[static_cast<std::size_t>(station_index(j))]
-                           .result
-                     : committed[r];
-        };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(p, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-        if (fwd) mw_stale_b.Set(i);
-      });
-      stale_b.ClearAll();
-    } else {
-    for (int i = 0; i < n; ++i) {
-      datapath::StationRequest& req = requests[static_cast<std::size_t>(i)];
+  void SaveFile(persist::Encoder& e, const Window& w) const {
+    for (const auto& b : committed_) datapath::Save(e, b);
+    e.I32(w.head / C_);  // The oldest cluster.
+    e.I32(w.count);
+    e.I32(w.retired);
+  }
+  void RestoreFile(persist::Decoder& d, Window& w) {
+    for (auto& b : committed_) datapath::Restore(d, b);
+    w.head = d.I32() * C_;
+    w.count = d.I32();
+    w.retired = d.I32();
+  }
+  void SaveDatapath(persist::Encoder& e) const { dp_state_.SaveState(e); }
+  void RestoreDatapath(persist::Decoder& d) { dp_state_.RestoreState(d); }
+
+  void Propagate(const Window& w) {
+    for (int i = 0; i < w.n; ++i) {
+      const Station& st = w.stations[static_cast<std::size_t>(i)];
+      datapath::StationRequest& req = requests_[static_cast<std::size_t>(i)];
       req = datapath::StationRequest{};
-      const Station& st = stations[static_cast<std::size_t>(i)];
-      if (st.valid) {
-        const isa::Instruction& inst = st.inst();
-        req.reads1 = isa::ReadsRs1(inst.op);
-        req.arg1 = inst.rs1;
-        req.reads2 = isa::ReadsRs2(inst.op);
-        req.arg2 = inst.rs2;
-        req.writes = isa::WritesRd(inst.op);
-        req.dest = inst.rd;
-        req.result = st.result;
-      }
-    }
-    if (incremental) {
-      dp_state.SetOldestCluster(head_cluster);
-      for (int i = 0; i < n; ++i) {
-        dp_state.SetStation(i, requests[static_cast<std::size_t>(i)]);
-      }
-      dp.PropagateIncremental(dp_state);
-    } else {
-      prop = dp.Propagate(committed, requests, head_cluster);
-    }
-    }
-
-    // --- Phase 1b: fault injection + self-checking (before any station
-    // reads its resolved arguments this cycle). ---
-    if (injector.active()) {
-      injector.BeginCycle(cycle);
-      injector.ApplyDatapathFaults(dp_state);
-      tel.OnFaults(cycle, injector.pending());
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind == fault::FaultKind::kStallStation) {
-          fault_stall[static_cast<std::size_t>(e.station % n)] +=
-              static_cast<int>(e.payload % 8) + 1;
-          injector.NoteStall();
-        }
-      }
-    }
-    if (checked && checker.Due(cycle, injector.HasHazardousPending())) {
-      checker.RecordCheck();
-      tel.OnCheckerCheck(cycle);
-      // Snapshot the (possibly corrupted) argument buffer, rebuild it from
-      // the inputs, and diff; the rebuild is itself the resync.
-      for (int i = 0; i < n; ++i) {
-        check_args[static_cast<std::size_t>(i)] = dp_state.args(i);
-      }
-      dp_state.MarkAllDirty();
-      dp.PropagateIncremental(dp_state);
-      std::uint64_t mismatched = 0;
-      for (int i = 0; i < n; ++i) {
-        const datapath::ResolvedArgs& truth = dp_state.args(i);
-        const datapath::ResolvedArgs& seen =
-            check_args[static_cast<std::size_t>(i)];
-        if (seen.arg1 != truth.arg1) ++mismatched;
-        if (seen.arg2 != truth.arg2) ++mismatched;
-      }
-      if (mismatched > 0) {
-        checker.RecordDivergence(cycle, mismatched);
-        tel.OnCheckerResync(cycle, mismatched);
-      }
-    }
-
-    // Propagation distances in program order: positions crossed from each
-    // operand's nearest preceding writer (committed stations still drive
-    // the ring until their cluster is freed), or from the committed file at
-    // the head cluster when no station in the window writes the register.
-    if (tel.metrics_on()) {
-      std::fill(last_writer.begin(), last_writer.end(), -1);
-      for (int p = 0; p < tail; ++p) {
-        const Station& st =
-            stations[static_cast<std::size_t>(station_index(p))];
-        if (!st.valid) continue;
-        const isa::Instruction& inst = st.inst();
-        if (p >= commit_ptr) {
-          if (isa::ReadsRs1(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
-            tel.OnDistance(j >= 0 ? p - j : p + 1);
-          }
-          if (isa::ReadsRs2(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
-            tel.OnDistance(j >= 0 ? p - j : p + 1);
-          }
-        }
-        if (isa::WritesRd(inst.op)) {
-          last_writer[static_cast<std::size_t>(inst.rd)] = p;
-        }
-      }
-    }
-
-    // Sequencing flags in program order over the allocated positions.
-    if (packed) {
-      if (!fast) {
-      // Word-accumulator composition over positions; invalid lanes stay
-      // all-zero, which makes every derived condition for them vacuous.
-      // Tier B (fault plans): the injected-stall lanes are recomposed from
-      // the station-indexed counters every cycle, because positions
-      // renumber at cluster deallocation while the counters stay put.
-      std::uint64_t av = 0, af = 0, ai = 0, ar = 0, am = 0, al = 0, as = 0,
-                    ac = 0, aa = 0, an = 0, ag = 0, ast = 0;
-      for (int p = 0; p < tail; ++p) {
-        const int i = station_index(p);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (st.valid) {
-          const std::uint64_t bit = 1ULL << (p & 63);
-          av |= bit;
-          if (st.finished) af |= bit;
-          if (st.issued) ai |= bit;
-          if (st.resolved) ar |= bit;
-          if (st.mem_submitted) am |= bit;
-          if (fault_stall[static_cast<std::size_t>(i)] > 0) ast |= bit;
-          const isa::Instruction& inst = st.inst();
-          if (inst.op == isa::Opcode::kLoad) {
-            al |= bit;
-          } else if (inst.op == isa::Opcode::kStore) {
-            as |= bit;
-          } else {
-            aa |= bit;
-          }
-          if (isa::IsControlFlow(inst.op)) ac |= bit;
-          if (NeedsAlu(inst.op)) an |= bit;
-          const datapath::ResolvedArgs& args = args_of(i);
-          if ((!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-              (!isa::ReadsRs2(inst.op) || args.arg2.ready)) {
-            ag |= bit;
-          }
-        }
-        if ((p & 63) == 63 || p == tail - 1) {
-          const int w = p >> 6;
-          valid_b.word(w) = av;
-          fin_b.word(w) = af;
-          iss_b.word(w) = ai;
-          res_b.word(w) = ar;
-          msub_b.word(w) = am;
-          ld_b.word(w) = al;
-          stb_b.word(w) = as;
-          cf_b.word(w) = ac;
-          alu_like_b.word(w) = aa;
-          needs_alu_b.word(w) = an;
-          argr_b.word(w) = ag;
-          stall_b.word(w) = ast;
-          av = af = ai = ar = am = al = as = ac = aa = an = ag = ast = 0;
-        }
-      }
-      }
-      // Stale lanes >= tail cannot influence the acyclic prefixes (they
-      // only look backward), and every other reduction masks them out.
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(stb_b.word(w) & ~fin_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, psd_b);
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(ld_b.word(w) & ~fin_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, pld_b);
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(cf_b.word(w) & ~res_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, pcf_b);
-    } else {
-      for (int p = 0; p < tail; ++p) {
-        const Station& st =
-            stations[static_cast<std::size_t>(station_index(p))];
-        const bool is_store = st.valid && st.inst().op == isa::Opcode::kStore;
-        const bool is_load = st.valid && st.inst().op == isa::Opcode::kLoad;
-        no_store[static_cast<std::size_t>(p)] = !is_store || st.finished;
-        no_load[static_cast<std::size_t>(p)] = !is_load || st.finished;
-        branch_ok[static_cast<std::size_t>(p)] =
-            !st.valid || !isa::IsControlFlow(st.inst().op) || st.resolved;
-      }
-      const std::span<const std::uint8_t> live_store(
-          no_store.data(), static_cast<std::size_t>(tail));
-      const std::span<const std::uint8_t> live_load(
-          no_load.data(), static_cast<std::size_t>(tail));
-      const std::span<const std::uint8_t> live_branch(
-          branch_ok.data(), static_cast<std::size_t>(tail));
-      datapath::AllPrecedingSatisfyAcyclicInto(
-          live_store,
-          std::span<std::uint8_t>(prev_stores_done.data(),
-                                  static_cast<std::size_t>(tail)));
-      datapath::AllPrecedingSatisfyAcyclicInto(
-          live_load, std::span<std::uint8_t>(prev_loads_done.data(),
-                                             static_cast<std::size_t>(tail)));
-      datapath::AllPrecedingSatisfyAcyclicInto(
-          live_branch,
-          std::span<std::uint8_t>(prev_confirmed.data(),
-                                  static_cast<std::size_t>(tail)));
-    }
-
-    // --- Phase 2: memory responses. ---
-    mem.Tick();
-    for (const auto& resp : mem.DrainCompleted()) {
-      const auto it = inflight.find(resp.id);
-      if (it == inflight.end()) continue;
-      const MemTag tag = it->second;
-      inflight.erase(it);
-      Station& st = stations[static_cast<std::size_t>(tag.tag)];
-      if (st.valid && st.generation == tag.generation) {
-        const bool was_finished = st.finished;
-        ApplyMemResponse(st, resp, cycle);
-        if (packed) {
-          const int i = static_cast<int>(tag.tag);
-          const int p = position_of(i);
-          if (p < tail) {
-            fin_b.Set(p);
-            if (fast) {
-              // The load's result binding just became ready: its readers
-              // re-resolve at the next phase-1 drain, exactly when the
-              // propagation would have delivered the new value.
-              if (isa::WritesRd(st.inst().op)) {
-                mark_result_change(p, st.inst().rd);
-              }
-              if (fwd) mw_stale_b.Set(i);
-            }
-          }
-        }
-        tel.OnMemComplete(cycle, static_cast<int>(tag.tag), st, was_finished);
-      }
-    }
-
-    // --- Phase 3: execute in program order. ---
-    const int live = tail;
-    if (fwd) {
-      if (fast) {
-        // Refresh only the station-indexed window entries whose station or
-        // arguments moved -- after phase 2, so this cycle's memory
-        // completions are visible to disambiguation, as in the rebuilt
-        // window below.
-        ForEachSetBit(mw_stale_b, [&](int i) {
-          mem_window_sta[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-              stations[static_cast<std::size_t>(i)],
-              args_at[static_cast<std::size_t>(i)]);
-        });
-        mw_stale_b.ClearAll();
-      } else {
-        mem_window.assign(static_cast<std::size_t>(live), MemWindowEntry{});
-        for (int p = 0; p < live; ++p) {
-          const int i = station_index(p);
-          mem_window[static_cast<std::size_t>(p)] = MakeMemWindowEntry(
-              stations[static_cast<std::size_t>(i)], args_of(i));
-        }
-      }
-    }
-    if (config_.num_alus > 0) {
-      if (packed) {
-        int occupied = 0;
-        for (int w = 0; w < pw; ++w) {
-          const std::uint64_t lm = live_word_mask(w, live);
-          occupied += std::popcount(needs_alu_b.word(w) & iss_b.word(w) &
-                                    ~fin_b.word(w) & lm);
-          req_b.word(w) = needs_alu_b.word(w) & ~iss_b.word(w) &
-                          ~fin_b.word(w) & argr_b.word(w) & lm;
-        }
-        datapath::AluScheduler::PackedGrantAcyclicInto(
-            req_b, std::max(0, config_.num_alus - occupied), grant_b);
-      } else {
-        alu_requests.assign(static_cast<std::size_t>(live), 0);
-        int occupied = 0;
-        for (int p = 0; p < live; ++p) {
-          const Station& st =
-              stations[static_cast<std::size_t>(station_index(p))];
-          alu_requests[static_cast<std::size_t>(p)] =
-              WantsAlu(st, args_of(station_index(p)));
-          if (st.valid && st.issued && !st.finished &&
-              NeedsAlu(st.inst().op)) {
-            ++occupied;
-          }
-        }
-        alu_grant.resize(static_cast<std::size_t>(live));
-        datapath::AluScheduler::GrantAcyclicInto(
-            alu_requests, std::max(0, config_.num_alus - occupied),
-            alu_grant);
-      }
-    }
-    if (packed) {
-      // Visit only stations whose StepStation call would act (the mask
-      // mirrors its no-op predicate exactly, so skipping is identical),
-      // plus stations serving an injected stall, which must decrement
-      // their counters in walk order like the scalar loop's skip does
-      // (after the valid/finished screen, hence the & ~fin term). With
-      // store forwarding on, a load's gate is its disambiguation decision
-      // rather than the prev-stores-done prefix, so the load term drops
-      // psd (an undecidable load is visited and no-ops).
-      int p0 = commit_ptr;
-      bool squashed = false;
-      while (p0 < tail && !squashed) {
-        const int w = p0 >> 6;
-        const int lo = p0 & 63;
-        const int hi = std::min(64, tail - (w << 6));
-        const std::uint64_t grant_ok =
-            config_.num_alus > 0 ? (grant_b.word(w) | ~needs_alu_b.word(w))
-                                 : ~0ULL;
-        const std::uint64_t load_gate = fwd ? ~0ULL : psd_b.word(w);
-        std::uint64_t mv =
-            (valid_b.word(w) & ~fin_b.word(w) &
-             ((alu_like_b.word(w) &
-               (iss_b.word(w) | (argr_b.word(w) & grant_ok))) |
-              (ld_b.word(w) & ~msub_b.word(w) & argr_b.word(w) &
-               load_gate) |
-              (stb_b.word(w) & ~msub_b.word(w) & argr_b.word(w) &
-               pld_b.word(w) & psd_b.word(w) & pcf_b.word(w)))) |
-            (stall_b.word(w) & valid_b.word(w) & ~fin_b.word(w));
-        const int cw = hi - lo;
-        mv &= (cw == 64 ? ~0ULL : ((1ULL << cw) - 1)) << lo;
-        while (mv != 0) {
-          const int b = std::countr_zero(mv);
-          mv &= mv - 1;
-          const int p = (w << 6) + b;
-          const int i = station_index(p);
-          if (stall_b.Test(p)) {
-            // Injected stall: the station sits this cycle out.
-            if (--fault_stall[static_cast<std::size_t>(i)] == 0) {
-              stall_b.Clear(p);
-            }
-            continue;
-          }
-          Station& st = stations[static_cast<std::size_t>(i)];
-          const datapath::ResolvedArgs& args =
-              fast ? args_at[static_cast<std::size_t>(i)] : args_of(i);
-          StepContext ctx;
-          ctx.prev_stores_done = psd_b.Test(p);
-          ctx.prev_loads_done = pld_b.Test(p);
-          ctx.committed_ok = pcf_b.Test(p);
-          ctx.alu_granted = config_.num_alus == 0 || grant_b.Test(p);
-          ctx.forwarding_enabled = fwd;
-          if (fwd && st.inst().op == isa::Opcode::kLoad) {
-            if (fast) {
-              if (mem_window_sta[static_cast<std::size_t>(i)].addr_known) {
-                const auto decision = ResolveLoadForwardingMapped(
-                    [&](std::size_t k) -> const MemWindowEntry& {
-                      return mem_window_sta[static_cast<std::size_t>(
-                          station_index(static_cast<int>(k)))];
-                    },
-                    static_cast<std::size_t>(p));
-                ctx.load_can_proceed = decision.can_proceed;
-                ctx.load_forward = decision.forward;
-                ctx.forward_value = decision.value;
-              }
-            } else if (mem_window[static_cast<std::size_t>(p)].addr_known) {
-              const auto decision = ResolveLoadForwarding(
-                  mem_window, static_cast<std::size_t>(p));
-              ctx.load_can_proceed = decision.can_proceed;
-              ctx.load_forward = decision.forward;
-              ctx.forward_value = decision.value;
-            }
-          }
-          const bool was_issued = st.issued;
-          const bool was_finished = st.finished;
-          const datapath::RegBinding pre_result = st.result;
-          const bool mispredicted = StepStation(
-              st, args, ctx, config_.latencies, mem, cycle, i,
-              static_cast<std::uint64_t>(i), inflight, result.stats);
-          tel.OnStep(cycle, i, st, was_issued, was_finished);
-          if (fast) {
-            iss_b.SetTo(p, st.issued);
-            fin_b.SetTo(p, st.finished);
-            res_b.SetTo(p, st.resolved);
-            msub_b.SetTo(p, st.mem_submitted);
-            if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-              mark_result_change(p, st.inst().rd);
-            }
-            if (fwd) mw_stale_b.Set(i);
-          }
-          if (mispredicted) {
-            ++result.stats.mispredictions;
-            for (int m = p + 1; m < tail; ++m) {
-              const int vi = station_index(m);
-              Station& victim = stations[static_cast<std::size_t>(vi)];
-              if (victim.valid) {
-                ++result.stats.squashed_instructions;
-                tel.OnSquash(cycle, vi, victim);
-                if (fast) fast_clear_slot(m, vi, victim);
-                victim.Clear();
-                ++victim.generation;
-              }
-            }
-            tail = p + 1;
-            fetch.Redirect(st.actual_next_pc);
-            squashed = true;
-            break;
-          }
-        }
-        p0 = (w << 6) + hi;
-      }
-    } else {
-    for (int p = commit_ptr; p < live; ++p) {
-      const int i = station_index(p);
-      Station& st = stations[static_cast<std::size_t>(i)];
-      if (!st.valid || st.finished) continue;
-      if (fault_stall[static_cast<std::size_t>(i)] > 0) {
-        --fault_stall[static_cast<std::size_t>(i)];
-        continue;  // Injected stall: the station sits out this cycle.
-      }
-      StepContext ctx;
-      ctx.prev_stores_done =
-          prev_stores_done[static_cast<std::size_t>(p)] != 0;
-      ctx.prev_loads_done = prev_loads_done[static_cast<std::size_t>(p)] != 0;
-      ctx.committed_ok = prev_confirmed[static_cast<std::size_t>(p)] != 0;
-      ctx.alu_granted = config_.num_alus == 0 ||
-                        alu_grant[static_cast<std::size_t>(p)] != 0;
-      ctx.forwarding_enabled = config_.store_forwarding;
-      if (ctx.forwarding_enabled && st.inst().op == isa::Opcode::kLoad &&
-          mem_window[static_cast<std::size_t>(p)].addr_known) {
-        const auto decision =
-            ResolveLoadForwarding(mem_window, static_cast<std::size_t>(p));
-        ctx.load_can_proceed = decision.can_proceed;
-        ctx.load_forward = decision.forward;
-        ctx.forward_value = decision.value;
-      }
-      const bool was_issued = st.issued;
-      const bool was_finished = st.finished;
-      const bool mispredicted = StepStation(
-          st, args_of(i), ctx, config_.latencies, mem, cycle, i,
-          static_cast<std::uint64_t>(i), inflight, result.stats);
-      tel.OnStep(cycle, i, st, was_issued, was_finished);
-      if (mispredicted) {
-        ++result.stats.mispredictions;
-        for (int m = p + 1; m < tail; ++m) {
-          const int vi = station_index(m);
-          Station& victim = stations[static_cast<std::size_t>(vi)];
-          if (victim.valid) {
-            ++result.stats.squashed_instructions;
-            tel.OnSquash(cycle, vi, victim);
-            victim.Clear();
-            ++victim.generation;
-          }
-        }
-        tail = p + 1;
-        fetch.Redirect(st.actual_next_pc);
-      }
-    }
-    }
-
-    // Forced mispredictions (fault injection): squash + redirect through
-    // the normal recovery machinery.
-    if (injector.active()) {
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind != fault::FaultKind::kForceMispredict) continue;
-        if (tail <= commit_ptr) {
-          injector.NoteMasked();
-          continue;
-        }
-        const int p = commit_ptr + e.station % (tail - commit_ptr);
-        Station& st =
-            stations[static_cast<std::size_t>(station_index(p))];
-        if (!st.valid || st.inst().op == isa::Opcode::kHalt) {
-          injector.NoteMasked();
-          continue;
-        }
-        std::size_t redirect_pc;
-        if (isa::IsControlFlow(st.inst().op)) {
-          redirect_pc = st.resolved ? st.actual_next_pc
-                                    : st.fetched.predicted_next_pc;
-        } else {
-          redirect_pc = st.fetched.pc + 1;
-        }
-        injector.NoteForcedMispredict();
-        for (int m = p + 1; m < tail; ++m) {
-          const int vi = station_index(m);
-          Station& victim = stations[static_cast<std::size_t>(vi)];
-          if (victim.valid) {
-            ++result.stats.squashed_instructions;
-            ++result.stats.fault.squashes;
-            tel.OnSquash(cycle, vi, victim);
-            victim.Clear();
-            ++victim.generation;
-          }
-        }
-        tail = p + 1;
-        fetch.Redirect(redirect_pc);
-      }
-    }
-
-    // --- Phase 4: commit in program order; free whole clusters. ---
-    while (commit_ptr < tail) {
-      Station& st =
-          stations[static_cast<std::size_t>(station_index(commit_ptr))];
-      assert(st.valid);
-      if (!st.finished) break;
-      st.timing.commit_cycle = cycle;
+      if (!st.valid) continue;
       const isa::Instruction& inst = st.inst();
-      if (isa::WritesRd(inst.op)) {
-        assert(st.result.ready);
-        committed[inst.rd] = st.result;
-        if (maintain_dp) dp_state.SetCommitted(inst.rd, st.result);
-        // Fast tier: no reader re-resolution is needed at commit. The
-        // committing writer's station keeps driving the ring until its
-        // cluster deallocates, so every in-window reader's nearest
-        // preceding writer -- and the binding it delivers -- is unchanged.
-      }
-      if (isa::IsControlFlow(inst.op)) {
-        fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
-      }
-      result.timeline.push_back(st.timing);
-      ++result.committed;
-      tel.OnCommit(cycle, station_index(commit_ptr), st);
-      const bool was_halt = inst.op == isa::Opcode::kHalt;
-      ++commit_ptr;
-      if (was_halt) {
-        done = true;
-        result.halted = true;
-        break;
-      }
+      req.reads1 = isa::ReadsRs1(inst.op);
+      req.arg1 = inst.rs1;
+      req.reads2 = isa::ReadsRs2(inst.op);
+      req.arg2 = inst.rs2;
+      req.writes = isa::WritesRd(inst.op);
+      req.dest = inst.rd;
+      req.result = st.result;
     }
-    // A fully committed head cluster is deallocated as a unit and becomes
-    // available for refilling (the "super execution station" reuse rule).
-    while (commit_ptr >= C) {
-      for (int s = 0; s < C; ++s) {
-        const int i = head_cluster * C + s;
-        Station& st = stations[static_cast<std::size_t>(i)];
-        if (fast) {
-          // Station-indexed caches are cleared point-wise; the slot is
-          // about to be refilled with a new instruction.
-          mw_stale_b.Clear(i);
-          args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-          if (fwd) mem_window_sta[static_cast<std::size_t>(i)] =
-              MemWindowEntry{};
-        }
-        st.Clear();
-        ++st.generation;
-      }
-      if (fast) {
-        // Every live position renumbers down by C. No reader goes stale:
-        // a reader whose nearest preceding writer just deallocated must
-        // have been reading r's last committed writer, whose commit made
-        // committed[r] byte-identical to the binding it was delivering --
-        // so re-resolving to the committed file yields the same value.
-        // Cached arguments are value copies and survive untouched.
-        for (auto* m : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b,
-                        &stb_b, &cf_b, &alu_like_b, &needs_alu_b, &argr_b,
-                        &stale_b}) {
-          datapath::PackedShiftDown(*m, C);
-        }
-        wmap.ShiftDown(C);
-      }
-      head_cluster = (head_cluster + 1) % K;
-      commit_ptr -= C;
-      tail -= C;
+    if (!incremental_) {
+      prop_ = dp_.Propagate(committed_, requests_, w.head / C_);
+      return;
     }
-
-    // --- Phase 5: fetch. ---
-    if (!done) {
-      const int free = n - tail;
-      if (free == 0) ++result.stats.window_full_cycles;
-      const int width = std::min(config_.EffectiveFetchWidth(), free);
-      fetch.FetchCycle(width, fetch_batch);
-      if (fetch_batch.empty() && free > 0 && tail > commit_ptr &&
-          !fetch.stalled()) {
-        ++result.stats.fetch_stall_cycles;
-      }
-      for (const auto& f : fetch_batch) {
-        const int slot = station_index(tail);
-        FillStation(stations[static_cast<std::size_t>(slot)], f, next_seq++,
-                    cycle);
-        stations[static_cast<std::size_t>(slot)].timing.station = slot;
-        tel.OnFetch(cycle, slot, stations[static_cast<std::size_t>(slot)]);
-        if (fast) {
-          fast_fill_slot(tail, slot, stations[static_cast<std::size_t>(slot)]);
-        }
-        ++tail;
-      }
-      if (fetch.stalled() && commit_ptr == tail) {
-        done = true;
-        result.halted = true;
-      }
+    dp_state_.SetOldestCluster(w.head / C_);
+    for (int i = 0; i < w.n; ++i) {
+      dp_state_.SetStation(i, requests_[static_cast<std::size_t>(i)]);
     }
+    dp_.PropagateIncremental(dp_state_);
   }
 
-  result.regs.resize(static_cast<std::size_t>(L));
-  for (int r = 0; r < L; ++r) {
-    result.regs[static_cast<std::size_t>(r)] =
-        committed[static_cast<std::size_t>(r)].value;
+  void ApplyFaults(fault::FaultInjector& injector) {
+    injector.ApplyDatapathFaults(dp_state_);
   }
-  result.memory = mem.store().Snapshot();
-  tel.FinalizeFaults(result.stats, injector, checker);
-  tel.FinalizeMemory(result.stats, mem, fetch);
-  return result;
+
+  /// Snapshots the (possibly corrupted) argument buffer, rebuilds it from
+  /// the inputs and counts the operands that differ.
+  std::uint64_t Recheck() {
+    const int n = static_cast<int>(check_args_.size());
+    for (int i = 0; i < n; ++i) {
+      check_args_[static_cast<std::size_t>(i)] = dp_state_.args(i);
+    }
+    dp_state_.MarkAllDirty();
+    dp_.PropagateIncremental(dp_state_);
+    std::uint64_t mismatched = 0;
+    for (int i = 0; i < n; ++i) {
+      const datapath::ResolvedArgs& truth = dp_state_.args(i);
+      const datapath::ResolvedArgs& seen =
+          check_args_[static_cast<std::size_t>(i)];
+      if (seen.arg1 != truth.arg1) ++mismatched;
+      if (seen.arg2 != truth.arg2) ++mismatched;
+    }
+    return mismatched;
+  }
+
+  datapath::ResolvedArgs Read(const Window&, int, int i, const Station&) {
+    return incremental_ ? dp_state_.args(i)
+                        : prop_.args[static_cast<std::size_t>(i)];
+  }
+
+  /// Positions crossed from the nearest preceding writer (committed stations
+  /// still drive the ring), or from the committed file at the head cluster.
+  static int Distance(int k, int kj) { return kj >= 0 ? k - kj : k + 1; }
+
+  void WriteBack(isa::RegId r, const datapath::RegBinding& b,
+                 std::uint64_t /*cycle*/) {
+    committed_[r] = b;
+    if (maintain_) dp_state_.SetCommitted(r, b);
+  }
+
+ private:
+  int C_;
+  bool incremental_;
+  bool maintain_;  // The incremental delivery state tracks commits.
+  datapath::HybridDatapath dp_;
+  datapath::HybridDatapathState dp_state_;
+  std::vector<datapath::RegBinding> committed_;
+  std::vector<datapath::StationRequest> requests_;
+  datapath::HybridPropagation prop_;  // Full-recompute tier only.
+  std::vector<datapath::ResolvedArgs> check_args_;
+};
+
+}  // namespace
+
+RunResult HybridCore::Run(const isa::Program& program) {
+  return WindowEngine<HybridNetwork>(config_, program).Run();
 }
 
 }  // namespace ultra::core

@@ -1,20 +1,7 @@
 #include "core/usii_core.hpp"
 
-#include <cassert>
-
-#include <bit>
-#include <span>
-
-#include "core/checkpoint_util.hpp"
-#include "core/exec.hpp"
-#include "core/fetch.hpp"
-#include "core/telemetry_hooks.hpp"
-#include "datapath/bitset.hpp"
-#include "datapath/packed_resolve.hpp"
+#include "core/window_engine.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/scheduler.hpp"
-#include "datapath/sequencing.hpp"
-#include "fault/fault.hpp"
 
 namespace ultra::core {
 
@@ -34,816 +21,149 @@ datapath::StationRequest MakeRequest(const Station& st) {
   return req;
 }
 
+/// Ultrascalar II's register network: each station requests only the
+/// registers it reads, matched to the nearest preceding writer through the
+/// mesh-of-trees against the edge register file. A batch machine: the ring's
+/// head stays at station 0 and the whole batch latches at once.
+class UsiiNetwork {
+ public:
+  static constexpr ProcessorKind kKind = ProcessorKind::kUltrascalarII;
+  static constexpr RetireRule kRetire = RetireRule::kBatch;
+  static constexpr bool kStallSkipsFinished = false;
+  static int Stations(const CoreConfig& config) { return config.window_size; }
+  static bool FastTierOk(const CoreConfig&) { return true; }
+
+  UsiiNetwork(const CoreConfig& config, bool /*fast*/)
+      : incremental_(config.datapath_eval != DatapathEval::kFullRecompute),
+        dp_(config.window_size, config.num_regs),
+        regfile_(static_cast<std::size_t>(config.num_regs)),
+        requests_(static_cast<std::size_t>(config.window_size)) {
+    for (auto& b : regfile_) b.ready = true;
+  }
+
+  [[nodiscard]] const datapath::RegBinding& reg(int r) const {
+    return regfile_[static_cast<std::size_t>(r)];
+  }
+
+  void SaveFile(persist::Encoder& e, const Window& w) const {
+    for (const auto& b : regfile_) datapath::Save(e, b);
+    e.I32(w.count);
+  }
+  void RestoreFile(persist::Decoder& d, Window& w) {
+    for (auto& b : regfile_) datapath::Restore(d, b);
+    w.count = d.I32();
+  }
+  // The memoized propagation is reused across cycles when valid, so it is
+  // machine state, not scratch: a live fault corruption can sit in `prop_`
+  // until the inputs next change.
+  void SaveDatapath(persist::Encoder& e) const {
+    for (const auto& req : requests_) datapath::Save(e, req);
+    e.Bool(prop_valid_);
+    e.Bool(regfile_changed_);
+    e.U32(static_cast<std::uint32_t>(prop_.args.size()));
+    for (const auto& a : prop_.args) datapath::Save(e, a);
+    e.U32(static_cast<std::uint32_t>(prop_.final_regs.size()));
+    for (const auto& b : prop_.final_regs) datapath::Save(e, b);
+  }
+  void RestoreDatapath(persist::Decoder& d) {
+    for (auto& req : requests_) datapath::Restore(d, req);
+    prop_valid_ = d.Bool();
+    regfile_changed_ = d.Bool();
+    prop_.args.resize(d.U32());
+    for (auto& a : prop_.args) datapath::Restore(d, a);
+    prop_.final_regs.resize(d.U32());
+    for (auto& b : prop_.final_regs) datapath::Restore(d, b);
+  }
+
+  void Propagate(const Window& w) {
+    bool requests_changed = false;
+    for (int i = 0; i < w.n; ++i) {
+      const datapath::StationRequest req =
+          MakeRequest(w.stations[static_cast<std::size_t>(i)]);
+      if (req != requests_[static_cast<std::size_t>(i)]) {
+        requests_[static_cast<std::size_t>(i)] = req;
+        requests_changed = true;
+      }
+    }
+    if (!incremental_) {
+      prop_ = dp_.Propagate(regfile_, requests_);
+      return;
+    }
+    // The propagation is a pure function of (regfile, requests): skip it
+    // while neither moved (common while stations wait on long operations).
+    if (!prop_valid_ || requests_changed || regfile_changed_) {
+      dp_.PropagateInto(regfile_, requests_, prop_);
+      prop_valid_ = true;
+      regfile_changed_ = false;
+    }
+  }
+
+  void ApplyFaults(fault::FaultInjector& injector) {
+    injector.ApplyDatapathFaults(prop_);
+  }
+
+  /// Recomputes the propagation from the (uncorruptible) inputs and diffs it
+  /// against the live one; on divergence adopts the recomputed truth.
+  std::uint64_t Recheck() {
+    dp_.PropagateInto(regfile_, requests_, check_prop_);
+    std::uint64_t mismatched = 0;
+    for (std::size_t i = 0; i < prop_.args.size(); ++i) {
+      if (prop_.args[i].arg1 != check_prop_.args[i].arg1) ++mismatched;
+      if (prop_.args[i].arg2 != check_prop_.args[i].arg2) ++mismatched;
+    }
+    for (std::size_t r = 0; r < prop_.final_regs.size(); ++r) {
+      if (prop_.final_regs[r] != check_prop_.final_regs[r]) ++mismatched;
+    }
+    if (mismatched > 0) {
+      std::swap(prop_.args, check_prop_.args);
+      std::swap(prop_.final_regs, check_prop_.final_regs);
+      prop_valid_ = true;
+    }
+    return mismatched;
+  }
+
+  datapath::ResolvedArgs Read(const Window&, int, int i, const Station&) {
+    return prop_.args[static_cast<std::size_t>(i)];
+  }
+
+  /// Grid rows crossed from the nearest preceding writer, or from the
+  /// register file one row above the batch.
+  static int Distance(int k, int kj) { return kj >= 0 ? k - kj : k + 1; }
+
+  /// Latches each register's final value: its last in-batch writer's result,
+  /// or the incoming file value when nothing in the batch writes it.
+  void Latch(const Window& w) {
+    for (int r = 0; r < w.L; ++r) {
+      if (!w.fast) {
+        assert(prop_.final_regs[static_cast<std::size_t>(r)].ready);
+        regfile_[static_cast<std::size_t>(r)] =
+            prop_.final_regs[static_cast<std::size_t>(r)];
+        continue;
+      }
+      const int j = w.wmap.HighestWriter(r);  // The head is station 0.
+      if (j < 0) continue;
+      assert(w.stations[static_cast<std::size_t>(j)].result.ready);
+      regfile_[static_cast<std::size_t>(r)] =
+          w.stations[static_cast<std::size_t>(j)].result;
+    }
+    regfile_changed_ = true;
+  }
+
+ private:
+  bool incremental_;
+  datapath::UltrascalarIIDatapath dp_;
+  std::vector<datapath::RegBinding> regfile_;
+  std::vector<datapath::StationRequest> requests_;
+  datapath::UsiiPropagation prop_;
+  bool prop_valid_ = false;  // prop_ matches the current (regfile, requests).
+  bool regfile_changed_ = true;
+  datapath::UsiiPropagation check_prop_;  // Checked-mode recompute target.
+};
+
 }  // namespace
 
 RunResult UltrascalarIICore::Run(const isa::Program& program) {
-  const int n = config_.window_size;
-  const int L = config_.num_regs;
-  datapath::UltrascalarIIDatapath dp(n, L);
-  memory::MemorySystem mem(config_.mem, n);
-  mem.Reset(program.initial_memory());
-  FetchEngine fetch(&program, config_, MakePredictor(config_, program));
-
-  std::vector<Station> stations(static_cast<std::size_t>(n));
-  std::vector<datapath::RegBinding> regfile(static_cast<std::size_t>(L));
-  for (auto& b : regfile) b.ready = true;
-
-  int fill = 0;  // Slots [0, fill) of the current batch hold instructions.
-  std::uint64_t next_seq = 0;
-  InflightMap inflight;
-  RunResult result;
-  bool done = false;
-
-  // Checked mode runs the incremental machinery plus the cross-validation
-  // below, so everything keyed on `incremental` applies to it too.
-  const bool incremental =
-      config_.datapath_eval != DatapathEval::kFullRecompute;
-  const bool checked = config_.datapath_eval == DatapathEval::kChecked;
-  // Word-parallel packed mode: sequencing flags, acyclic prefixes, ALU
-  // grants, and the execute phase's visit set evaluate 64 stations per
-  // word op. kPacked always runs the packed cycle loop; the `fast` tier
-  // additionally replaces the per-cycle request/propagation rebuild with
-  // event-driven argument resolution over per-register writer/reader rows.
-  // Fault plans keep the propagation machinery underneath the packed walk
-  // (corruptions live inside `prop`), but never change the executed loop.
-  const bool packed = config_.datapath_eval == DatapathEval::kPacked;
-  const bool fast = packed && config_.fault_plan == nullptr;
-  const bool maintain_prop = incremental && !fast;
-
-  fault::FaultInjector injector(config_.fault_plan.get());
-  fault::DatapathChecker checker(config_.checker_stride);
-  datapath::UsiiPropagation check_prop;  // Checked-mode recompute target.
-  std::vector<int> fault_stall(static_cast<std::size_t>(n), 0);
-
-  CoreTelemetry tel(config_);
-  // Batch-position last writer per register (propagation-distance metric).
-  std::vector<int> last_writer(static_cast<std::size_t>(L));
-
-  std::vector<datapath::StationRequest> requests(
-      static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> no_store(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> no_load(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> branch_ok(static_cast<std::size_t>(n));
-  // Per-cycle scratch, hoisted out of the loop so the hot path does not
-  // touch the allocator (capacity is reused across cycles).
-  datapath::UsiiPropagation prop;  // Reused output buffer.
-  bool prop_valid = false;   // prop matches the current (regfile, requests).
-  bool regfile_changed = true;
-  std::vector<std::uint8_t> prev_stores_done(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> prev_loads_done(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> prev_confirmed(static_cast<std::size_t>(n));
-  std::vector<MemWindowEntry> mem_window;
-  std::vector<std::uint8_t> alu_requests;
-  std::vector<std::uint8_t> alu_grant;
-  std::vector<FetchedInstr> fetch_batch;
-
-  // Packed per-cycle scratch (kPacked only): recomposed from the stations
-  // every cycle, so it is derived state and never checkpointed.
-  const int pw = datapath::PackedWordCount(n);
-  datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
-      cf_b, alu_like_b, needs_alu_b, argr_b, cond_b, psd_b, pld_b, pcf_b,
-      req_b, grant_b, stall_b, stale_b, mw_stale_b;
-  if (packed) {
-    for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
-                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &cond_b,
-                    &psd_b, &pld_b, &pcf_b, &req_b, &grant_b, &stall_b,
-                    &stale_b, &mw_stale_b}) {
-      p->Assign(n);
-    }
-  }
-  // Fast-tier state: cached resolved arguments per batch slot, the
-  // writer/reader rows that answer "whose value does slot i read?", and a
-  // slot-indexed memory window (batch position IS age order here, so the
-  // span-based forwarding walk reads it directly).
-  datapath::PackedWriterMap wmap;
-  std::vector<datapath::ResolvedArgs> args_at;
-  std::vector<MemWindowEntry> mem_window_pos;
-  if (fast) {
-    wmap.Assign(n, L);
-    args_at.resize(static_cast<std::size_t>(n));
-    mem_window_pos.resize(static_cast<std::size_t>(n));
-  }
-  const bool fwd = config_.store_forwarding;
-
-  // Fast-tier event helpers; clearing must run while the station still
-  // holds its instruction (rows are keyed by its register fields).
-  const auto fast_clear_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    if (isa::WritesRd(inst.op)) wmap.ClearWriter(i, inst.rd);
-    if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
-    if (isa::ReadsRs2(inst.op)) wmap.ClearReader(i, inst.rs2);
-    for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b, &stb_b,
-                    &cf_b, &alu_like_b, &needs_alu_b, &argr_b, &stale_b,
-                    &mw_stale_b}) {
-      p->Clear(i);
-    }
-    args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
-    if (fwd) mem_window_pos[static_cast<std::size_t>(i)] = MemWindowEntry{};
-  };
-  const auto fast_fill_slot = [&](int i, const Station& st) {
-    const isa::Instruction& inst = st.inst();
-    valid_b.Set(i);
-    const isa::Opcode op = inst.op;
-    if (op == isa::Opcode::kLoad) {
-      ld_b.Set(i);
-    } else if (op == isa::Opcode::kStore) {
-      stb_b.Set(i);
-    } else {
-      alu_like_b.Set(i);
-    }
-    if (isa::IsControlFlow(op)) cf_b.Set(i);
-    if (NeedsAlu(op)) needs_alu_b.Set(i);
-    if (isa::WritesRd(op)) wmap.SetWriter(i, inst.rd);
-    if (isa::ReadsRs1(op)) wmap.AddReader(i, inst.rs1);
-    if (isa::ReadsRs2(op)) wmap.AddReader(i, inst.rs2);
-    stale_b.Set(i);
-    if (fwd) mw_stale_b.Set(i);
-  };
-  // Slot @p j's result binding for register @p r changed: only the readers
-  // between j and the next writer of r (inclusive -- a slot both reading
-  // and writing r resolves its read against the previous writer) see a
-  // different source. Acyclic program order, so no wraparound.
-  const auto mark_result_change = [&](int j, isa::RegId r) {
-    const int nw = datapath::LowestSetInRange(
-        wmap.writers(static_cast<int>(r)), j + 1, n);
-    wmap.OrReadersInCyclicRange(static_cast<int>(r), j + 1,
-                                nw >= 0 ? nw + 1 : 0, stale_b);
-  };
-
-  CheckpointSession ckpt(config_, ProcessorKind::kUltrascalarII, program);
-  const auto save_state = [&](persist::Encoder& e) {
-    for (const Station& st : stations) SaveStation(e, st);
-    for (const auto& b : regfile) datapath::Save(e, b);
-    e.I32(fill);
-    e.U64(next_seq);
-    SaveInflight(e, inflight);
-    SavePartialResult(e, result);
-    for (const int s : fault_stall) e.I32(s);
-    for (const auto& req : requests) datapath::Save(e, req);
-    // The memoized propagation (prop/prop_valid/regfile_changed) is reused
-    // across cycles when valid, so it is machine state, not scratch: a live
-    // fault corruption can sit in `prop` until the inputs next change.
-    e.Bool(prop_valid);
-    e.Bool(regfile_changed);
-    e.U32(static_cast<std::uint32_t>(prop.args.size()));
-    for (const auto& a : prop.args) datapath::Save(e, a);
-    e.U32(static_cast<std::uint32_t>(prop.final_regs.size()));
-    for (const auto& b : prop.final_regs) datapath::Save(e, b);
-    injector.SaveState(e);
-    checker.SaveState(e);
-    fetch.SaveState(e);
-    mem.SaveState(e);
-    SaveTelemetrySlots(e, config_);
-  };
-  std::uint64_t start_cycle = 0;
-  if (ckpt.resume() != nullptr) {
-    persist::Decoder d(ckpt.resume()->state);
-    for (Station& st : stations) RestoreStation(d, st);
-    for (auto& b : regfile) datapath::Restore(d, b);
-    fill = d.I32();
-    next_seq = d.U64();
-    RestoreInflight(d, inflight);
-    RestorePartialResult(d, result);
-    for (int& s : fault_stall) s = d.I32();
-    for (auto& req : requests) datapath::Restore(d, req);
-    prop_valid = d.Bool();
-    regfile_changed = d.Bool();
-    prop.args.resize(d.U32());
-    for (auto& a : prop.args) datapath::Restore(d, a);
-    prop.final_regs.resize(d.U32());
-    for (auto& b : prop.final_regs) datapath::Restore(d, b);
-    injector.RestoreState(d);
-    checker.RestoreState(d);
-    fetch.RestoreState(d);
-    mem.RestoreState(d);
-    RestoreTelemetrySlots(d, config_);
-    if (!d.AtEnd()) {
-      throw persist::FormatError("trailing checkpoint bytes");
-    }
-    start_cycle = ckpt.resume()->header.cycle;
-    if (packed) {
-      // Rebuild the derived packed shadow from the restored stations. The
-      // fast tier's cached arguments are a pure function of (stations,
-      // regfile), so marking every live slot stale makes the first phase-1
-      // drain recompute exactly the values the uninterrupted run carried.
-      for (int i = 0; i < n; ++i) {
-        if (fault_stall[static_cast<std::size_t>(i)] > 0) stall_b.Set(i);
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (fast && st.valid) {
-          fast_fill_slot(i, st);
-          fin_b.SetTo(i, st.finished);
-          iss_b.SetTo(i, st.issued);
-          res_b.SetTo(i, st.resolved);
-          msub_b.SetTo(i, st.mem_submitted);
-        }
-      }
-    }
-  }
-
-  for (std::uint64_t cycle = start_cycle; cycle < config_.max_cycles && !done;
-       ++cycle) {
-    if (ckpt.MaybeSave(cycle, save_state)) break;
-    if (config_.cancel && (cycle & 1023u) == 0 &&
-        config_.cancel->load(std::memory_order_relaxed)) {
-      break;  // Abandoned run: halted stays false.
-    }
-    result.cycles = cycle + 1;
-    tel.OnCycle(cycle, fill);
-
-    // --- Phase 1: combinational propagation and batch-completion check,
-    // both against end-of-last-cycle state. ---
-    bool all_finished = true;
-    bool any_valid = false;
-    bool requests_changed = false;
-    if (tel.metrics_on()) {
-      std::fill(last_writer.begin(), last_writer.end(), -1);
-    }
-    if (fast) {
-      // Event-driven delivery: the masks carry end-of-last-cycle state, so
-      // batch completion is a word scan and only slots whose argument
-      // source changed since the last cycle re-resolve.
-      for (int w = 0; w < pw; ++w) {
-        const std::uint64_t v = valid_b.word(w);
-        if (v != 0) any_valid = true;
-        if ((v & ~fin_b.word(w)) != 0) all_finished = false;
-      }
-      if (tel.metrics_on()) {
-        // Grid-distance sweep, replicating the incremental loop's
-        // OnDistance calls in the same order (batch positions ascending).
-        for (int i = 0; i < fill; ++i) {
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid) continue;
-          const isa::Instruction& inst = st.inst();
-          if (isa::ReadsRs1(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
-            tel.OnDistance(j >= 0 ? i - j : i + 1);
-          }
-          if (isa::ReadsRs2(inst.op)) {
-            const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
-            tel.OnDistance(j >= 0 ? i - j : i + 1);
-          }
-          if (isa::WritesRd(inst.op)) {
-            last_writer[static_cast<std::size_t>(inst.rd)] = i;
-          }
-        }
-      }
-      ForEachSetBit(stale_b, [&](int i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        datapath::ResolvedArgs args;
-        // The nearest preceding writer's binding, verbatim (ready or not);
-        // slot 0 and readers with no in-batch writer take the register
-        // file, exactly what the mesh-of-trees propagation delivers.
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
-          const int j =
-              wmap.NearestWriterBeforeAcyclic(i, static_cast<int>(r));
-          return j >= 0 ? stations[static_cast<std::size_t>(j)].result
-                        : regfile[r];
-        };
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(i, (!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                            (!isa::ReadsRs2(inst.op) || args.arg2.ready));
-        if (fwd) mw_stale_b.Set(i);
-      });
-      stale_b.ClearAll();
-    } else {
-    // Word accumulators for the packed composition: one bit per station,
-    // flushed every 64 lanes. Invalid lanes stay all-zero, which keeps every
-    // derived condition vacuous.
-    std::uint64_t av = 0, af = 0, ai = 0, ar = 0, am = 0, al = 0, as = 0,
-                  ac = 0, aa = 0, an = 0;
-    for (int i = 0; i < n; ++i) {
-      const Station& st = stations[static_cast<std::size_t>(i)];
-      datapath::StationRequest req = MakeRequest(st);
-      if (req != requests[static_cast<std::size_t>(i)]) {
-        requests[static_cast<std::size_t>(i)] = req;
-        requests_changed = true;
-      }
-      if (tel.metrics_on() && st.valid) {
-        // Grid distance to each operand's source: rows crossed from the
-        // nearest preceding writer, or from the register file (one row
-        // above the batch) when no station in the batch writes it.
-        const isa::Instruction& inst = st.inst();
-        if (isa::ReadsRs1(inst.op)) {
-          const int j = last_writer[static_cast<std::size_t>(inst.rs1)];
-          tel.OnDistance(j >= 0 ? i - j : i + 1);
-        }
-        if (isa::ReadsRs2(inst.op)) {
-          const int j = last_writer[static_cast<std::size_t>(inst.rs2)];
-          tel.OnDistance(j >= 0 ? i - j : i + 1);
-        }
-        if (isa::WritesRd(inst.op)) {
-          last_writer[static_cast<std::size_t>(inst.rd)] = i;
-        }
-      }
-      if (st.valid) {
-        any_valid = true;
-        if (!st.finished) all_finished = false;
-      }
-      if (packed) {
-        if (st.valid) {
-          const std::uint64_t bit = 1ULL << (i & 63);
-          av |= bit;
-          if (st.finished) af |= bit;
-          if (st.issued) ai |= bit;
-          if (st.resolved) ar |= bit;
-          if (st.mem_submitted) am |= bit;
-          const isa::Opcode op = st.inst().op;
-          if (op == isa::Opcode::kLoad) {
-            al |= bit;
-          } else if (op == isa::Opcode::kStore) {
-            as |= bit;
-          } else {
-            aa |= bit;
-          }
-          if (isa::IsControlFlow(op)) ac |= bit;
-          if (NeedsAlu(op)) an |= bit;
-        }
-        if ((i & 63) == 63 || i == n - 1) {
-          const int w = i >> 6;
-          valid_b.word(w) = av;
-          fin_b.word(w) = af;
-          iss_b.word(w) = ai;
-          res_b.word(w) = ar;
-          msub_b.word(w) = am;
-          ld_b.word(w) = al;
-          stb_b.word(w) = as;
-          cf_b.word(w) = ac;
-          alu_like_b.word(w) = aa;
-          needs_alu_b.word(w) = an;
-          av = af = ai = ar = am = al = as = ac = aa = an = 0;
-        }
-      } else {
-        const bool is_store = st.valid && st.inst().op == isa::Opcode::kStore;
-        const bool is_load = st.valid && st.inst().op == isa::Opcode::kLoad;
-        no_store[static_cast<std::size_t>(i)] = !is_store || st.finished;
-        no_load[static_cast<std::size_t>(i)] = !is_load || st.finished;
-        branch_ok[static_cast<std::size_t>(i)] =
-            !st.valid || !isa::IsControlFlow(st.inst().op) || st.resolved;
-      }
-    }
-    }
-    if (maintain_prop) {
-      // The whole propagation is a pure function of (regfile, requests):
-      // skip it when neither moved since the last evaluation (common while
-      // stations wait on long-latency operations).
-      if (!prop_valid || requests_changed || regfile_changed) {
-        dp.PropagateInto(regfile, requests, prop);
-        prop_valid = true;
-        regfile_changed = false;
-      }
-    } else if (!incremental) {
-      prop = dp.Propagate(regfile, requests);
-    }
-
-    // --- Phase 1b: fault injection + self-checking, before the batch
-    // latch and before any station reads prop this cycle. ---
-    if (injector.active()) {
-      injector.BeginCycle(cycle);
-      injector.ApplyDatapathFaults(prop);
-      tel.OnFaults(cycle, injector.pending());
-      for (const fault::FaultEvent& e : injector.pending()) {
-        if (e.kind == fault::FaultKind::kStallStation) {
-          fault_stall[static_cast<std::size_t>(e.station % n)] +=
-              static_cast<int>(e.payload % 8) + 1;
-          if (packed) stall_b.Set(e.station % n);
-          injector.NoteStall();
-        }
-      }
-    }
-    if (checked && checker.Due(cycle, injector.HasHazardousPending())) {
-      checker.RecordCheck();
-      tel.OnCheckerCheck(cycle);
-      // Recompute the propagation from the (uncorruptible) inputs into the
-      // scratch buffer and diff against the live one; on divergence adopt
-      // the recomputed truth wholesale.
-      dp.PropagateInto(regfile, requests, check_prop);
-      std::uint64_t mismatched = 0;
-      for (std::size_t i = 0; i < prop.args.size(); ++i) {
-        if (prop.args[i].arg1 != check_prop.args[i].arg1) ++mismatched;
-        if (prop.args[i].arg2 != check_prop.args[i].arg2) ++mismatched;
-      }
-      for (std::size_t r = 0; r < prop.final_regs.size(); ++r) {
-        if (prop.final_regs[r] != check_prop.final_regs[r]) ++mismatched;
-      }
-      if (mismatched > 0) {
-        std::swap(prop.args, check_prop.args);
-        std::swap(prop.final_regs, check_prop.final_regs);
-        prop_valid = true;
-        checker.RecordDivergence(cycle, mismatched);
-        tel.OnCheckerResync(cycle, mismatched);
-      }
-    }
-
-    if (packed) {
-      // Dead stations contribute vacuously true conditions (their class
-      // bits are clear), so the acyclic prefixes match the byte lanes.
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(stb_b.word(w) & ~fin_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, psd_b);
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(ld_b.word(w) & ~fin_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, pld_b);
-      for (int w = 0; w < pw; ++w) {
-        cond_b.word(w) = ~(cf_b.word(w) & ~res_b.word(w));
-      }
-      cond_b.word(pw - 1) &= datapath::PackedTailMask(n);
-      datapath::PackedAllPrecedingSatisfyAcyclicInto(cond_b, pcf_b);
-    } else {
-      datapath::AllPrecedingSatisfyAcyclicInto(no_store, prev_stores_done);
-      datapath::AllPrecedingSatisfyAcyclicInto(no_load, prev_loads_done);
-      datapath::AllPrecedingSatisfyAcyclicInto(branch_ok, prev_confirmed);
-    }
-
-    // The batch completes once every station is finished and no more
-    // instructions are on the way into it ("At that time, the final values
-    // are latched into the register file. The stations refill ... and
-    // computation resumes.").
-    const bool batch_complete =
-        any_valid && all_finished && (fill == n || fetch.stalled());
-    if (batch_complete) {
-      if (fast) {
-        // Each register's final value comes from its last in-batch writer;
-        // unwritten registers keep their incoming file value, matching the
-        // propagation's final row.
-        for (int r = 0; r < L; ++r) {
-          const int j = wmap.HighestWriter(r);
-          if (j >= 0) {
-            assert(stations[static_cast<std::size_t>(j)].result.ready);
-            regfile[static_cast<std::size_t>(r)] =
-                stations[static_cast<std::size_t>(j)].result;
-          }
-        }
-      } else {
-        for (int r = 0; r < L; ++r) {
-          assert(prop.final_regs[static_cast<std::size_t>(r)].ready);
-          regfile[static_cast<std::size_t>(r)] =
-              prop.final_regs[static_cast<std::size_t>(r)];
-        }
-      }
-      regfile_changed = true;
-      const std::uint64_t committed_before = result.committed;
-      for (int i = 0; i < fill && !done; ++i) {
-        Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) continue;
-        st.timing.commit_cycle = cycle;
-        if (isa::IsControlFlow(st.inst().op)) {
-          fetch.NotifyOutcome(st.fetched.pc, st.actual_taken);
-        }
-        result.timeline.push_back(st.timing);
-        ++result.committed;
-        tel.OnCommit(cycle, i, st);
-        if (st.inst().op == isa::Opcode::kHalt) {
-          done = true;
-          result.halted = true;
-        }
-        st.Clear();
-        ++st.generation;
-      }
-      tel.OnBatchRetire(cycle, result.committed - committed_before);
-      for (auto& st : stations) {
-        if (st.valid) {
-          st.Clear();
-          ++st.generation;
-        }
-      }
-      if (fast) {
-        // The whole batch left at once: reset the shadow wholesale instead
-        // of slot-by-slot (stall_b survives -- pending injected stalls
-        // stick to the slot and hit its next occupant, and fast excludes
-        // fault plans anyway).
-        wmap.ClearAllRows();
-        for (auto* p : {&valid_b, &fin_b, &iss_b, &res_b, &msub_b, &ld_b,
-                        &stb_b, &cf_b, &alu_like_b, &needs_alu_b, &argr_b,
-                        &stale_b, &mw_stale_b}) {
-          p->ClearAll();
-        }
-      }
-      fill = 0;
-    }
-
-    // --- Phase 2: memory responses. ---
-    mem.Tick();
-    for (const auto& resp : mem.DrainCompleted()) {
-      const auto it = inflight.find(resp.id);
-      if (it == inflight.end()) continue;
-      const MemTag tag = it->second;
-      inflight.erase(it);
-      Station& st = stations[static_cast<std::size_t>(tag.tag)];
-      if (st.valid && st.generation == tag.generation) {
-        const bool was_finished = st.finished;
-        ApplyMemResponse(st, resp, cycle);
-        if (packed) fin_b.Set(static_cast<int>(tag.tag));
-        if (fast) {
-          // The load's result binding just became ready: its readers
-          // re-resolve at the next phase-1 drain, exactly when the
-          // propagation would deliver the new value.
-          if (isa::WritesRd(st.inst().op)) {
-            mark_result_change(static_cast<int>(tag.tag), st.inst().rd);
-          }
-          if (fwd) mw_stale_b.Set(static_cast<int>(tag.tag));
-        }
-        tel.OnMemComplete(cycle, static_cast<int>(tag.tag), st, was_finished);
-      }
-    }
-
-    // --- Phase 3: execute, in program order within the batch. ---
-    if (!batch_complete && !done) {
-      if (packed && !fast) {
-        std::uint64_t ag = 0;
-        for (int i = 0; i < fill; ++i) {
-          const Station& st = stations[static_cast<std::size_t>(i)];
-          if (st.valid) {
-            const isa::Instruction& inst = st.inst();
-            const datapath::ResolvedArgs& args =
-                prop.args[static_cast<std::size_t>(i)];
-            if ((!isa::ReadsRs1(inst.op) || args.arg1.ready) &&
-                (!isa::ReadsRs2(inst.op) || args.arg2.ready)) {
-              ag |= 1ULL << (i & 63);
-            }
-          }
-          if ((i & 63) == 63 || i == fill - 1) {
-            argr_b.word(i >> 6) = ag;
-            ag = 0;
-          }
-        }
-      }
-      if (fwd) {
-        if (fast) {
-          // Refresh only the window entries whose station or arguments
-          // moved -- after phase 2, so this cycle's memory completions are
-          // visible to disambiguation, as in the rebuilt window below.
-          ForEachSetBit(mw_stale_b, [&](int i) {
-            mem_window_pos[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-                stations[static_cast<std::size_t>(i)],
-                args_at[static_cast<std::size_t>(i)]);
-          });
-          mw_stale_b.ClearAll();
-        } else {
-          mem_window.assign(static_cast<std::size_t>(fill), MemWindowEntry{});
-          for (int i = 0; i < fill; ++i) {
-            mem_window[static_cast<std::size_t>(i)] = MakeMemWindowEntry(
-                stations[static_cast<std::size_t>(i)],
-                prop.args[static_cast<std::size_t>(i)]);
-          }
-        }
-      }
-      if (config_.num_alus > 0) {
-        if (packed) {
-          int occupied = 0;
-          for (int w = 0; w < pw; ++w) {
-            occupied += std::popcount(needs_alu_b.word(w) & iss_b.word(w) &
-                                      ~fin_b.word(w));
-            req_b.word(w) = needs_alu_b.word(w) & ~iss_b.word(w) &
-                            ~fin_b.word(w) & argr_b.word(w);
-          }
-          datapath::AluScheduler::PackedGrantAcyclicInto(
-              req_b, std::max(0, config_.num_alus - occupied), grant_b);
-        } else {
-          alu_requests.assign(static_cast<std::size_t>(fill), 0);
-          int occupied = 0;
-          for (int i = 0; i < fill; ++i) {
-            const Station& st = stations[static_cast<std::size_t>(i)];
-            alu_requests[static_cast<std::size_t>(i)] =
-                WantsAlu(st, prop.args[static_cast<std::size_t>(i)]);
-            if (st.valid && st.issued && !st.finished &&
-                NeedsAlu(st.inst().op)) {
-              ++occupied;
-            }
-          }
-          alu_grant.resize(static_cast<std::size_t>(fill));
-          datapath::AluScheduler::GrantAcyclicInto(
-              alu_requests, std::max(0, config_.num_alus - occupied),
-              alu_grant);
-        }
-      }
-      if (packed) {
-        // Visit only stations whose StepStation call would act (the mask
-        // mirrors its no-op predicate exactly, so skipping is identical),
-        // plus stations serving an injected stall, which must decrement
-        // their counters in walk order like the scalar loop's skip does.
-        // With store forwarding on, a load's gate is its disambiguation
-        // decision rather than the prev-stores-done prefix, so the load
-        // term drops psd (an undecidable load is visited and no-ops).
-        bool squashed = false;
-        for (int w = 0; w < pw && !squashed; ++w) {
-          const int base = w << 6;
-          if (base >= fill) break;
-          const int hi = std::min(64, fill - base);
-          const std::uint64_t grant_ok =
-              config_.num_alus > 0 ? (grant_b.word(w) | ~needs_alu_b.word(w))
-                                   : ~0ULL;
-          const std::uint64_t load_gate = fwd ? ~0ULL : psd_b.word(w);
-          std::uint64_t mv =
-              (valid_b.word(w) & ~fin_b.word(w) &
-               ((alu_like_b.word(w) &
-                 (iss_b.word(w) | (argr_b.word(w) & grant_ok))) |
-                (ld_b.word(w) & ~msub_b.word(w) & argr_b.word(w) &
-                 load_gate) |
-                (stb_b.word(w) & ~msub_b.word(w) & argr_b.word(w) &
-                 pld_b.word(w) & psd_b.word(w) & pcf_b.word(w)))) |
-              (stall_b.word(w) & valid_b.word(w));
-          mv &= hi == 64 ? ~0ULL : ((1ULL << hi) - 1);
-          while (mv != 0) {
-            const int b = std::countr_zero(mv);
-            mv &= mv - 1;
-            const int i = base + b;
-            if (stall_b.Test(i)) {
-              // Injected stall: the station sits this cycle out.
-              if (--fault_stall[static_cast<std::size_t>(i)] == 0) {
-                stall_b.Clear(i);
-              }
-              continue;
-            }
-            Station& st = stations[static_cast<std::size_t>(i)];
-            const datapath::ResolvedArgs& args =
-                fast ? args_at[static_cast<std::size_t>(i)]
-                     : prop.args[static_cast<std::size_t>(i)];
-            StepContext ctx;
-            ctx.prev_stores_done = psd_b.Test(i);
-            ctx.prev_loads_done = pld_b.Test(i);
-            ctx.committed_ok = pcf_b.Test(i);
-            ctx.alu_granted = config_.num_alus == 0 || grant_b.Test(i);
-            ctx.forwarding_enabled = fwd;
-            if (fwd && st.inst().op == isa::Opcode::kLoad) {
-              const MemWindowEntry* win =
-                  fast ? mem_window_pos.data() : mem_window.data();
-              if (win[i].addr_known) {
-                const auto decision = ResolveLoadForwarding(
-                    std::span<const MemWindowEntry>(
-                        win, static_cast<std::size_t>(fill)),
-                    static_cast<std::size_t>(i));
-                ctx.load_can_proceed = decision.can_proceed;
-                ctx.load_forward = decision.forward;
-                ctx.forward_value = decision.value;
-              }
-            }
-            const bool was_issued = st.issued;
-            const bool was_finished = st.finished;
-            const datapath::RegBinding pre_result = st.result;
-            const bool mispredicted = StepStation(
-                st, args, ctx, config_.latencies, mem, cycle, i,
-                static_cast<std::uint64_t>(i), inflight, result.stats);
-            tel.OnStep(cycle, i, st, was_issued, was_finished);
-            if (fast) {
-              iss_b.SetTo(i, st.issued);
-              fin_b.SetTo(i, st.finished);
-              res_b.SetTo(i, st.resolved);
-              msub_b.SetTo(i, st.mem_submitted);
-              if (st.result != pre_result && isa::WritesRd(st.inst().op)) {
-                mark_result_change(i, st.inst().rd);
-              }
-              if (fwd) mw_stale_b.Set(i);
-            }
-            if (mispredicted) {
-              ++result.stats.mispredictions;
-              for (int m = i + 1; m < fill; ++m) {
-                Station& victim = stations[static_cast<std::size_t>(m)];
-                if (victim.valid) {
-                  ++result.stats.squashed_instructions;
-                  tel.OnSquash(cycle, m, victim);
-                  if (fast) fast_clear_slot(m, victim);
-                  victim.Clear();
-                  ++victim.generation;
-                }
-              }
-              fill = i + 1;
-              fetch.Redirect(st.actual_next_pc);
-              squashed = true;
-              break;
-            }
-          }
-        }
-      } else {
-      for (int i = 0; i < fill; ++i) {
-        Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) continue;
-        if (fault_stall[static_cast<std::size_t>(i)] > 0) {
-          --fault_stall[static_cast<std::size_t>(i)];
-          continue;  // Injected stall: the station sits out this cycle.
-        }
-        StepContext ctx;
-        ctx.prev_stores_done =
-            prev_stores_done[static_cast<std::size_t>(i)] != 0;
-        ctx.prev_loads_done =
-            prev_loads_done[static_cast<std::size_t>(i)] != 0;
-        ctx.committed_ok = prev_confirmed[static_cast<std::size_t>(i)] != 0;
-        ctx.alu_granted = config_.num_alus == 0 ||
-                          alu_grant[static_cast<std::size_t>(i)] != 0;
-        ctx.forwarding_enabled = config_.store_forwarding;
-        if (ctx.forwarding_enabled && st.inst().op == isa::Opcode::kLoad &&
-            mem_window[static_cast<std::size_t>(i)].addr_known) {
-          const auto decision = ResolveLoadForwarding(
-              mem_window, static_cast<std::size_t>(i));
-          ctx.load_can_proceed = decision.can_proceed;
-          ctx.load_forward = decision.forward;
-          ctx.forward_value = decision.value;
-        }
-        const bool was_issued = st.issued;
-        const bool was_finished = st.finished;
-        const bool mispredicted = StepStation(
-            st, prop.args[static_cast<std::size_t>(i)], ctx,
-            config_.latencies, mem, cycle, i, static_cast<std::uint64_t>(i),
-            inflight, result.stats);
-        tel.OnStep(cycle, i, st, was_issued, was_finished);
-        if (mispredicted) {
-          ++result.stats.mispredictions;
-          for (int m = i + 1; m < fill; ++m) {
-            Station& victim = stations[static_cast<std::size_t>(m)];
-            if (victim.valid) {
-              ++result.stats.squashed_instructions;
-              tel.OnSquash(cycle, m, victim);
-              victim.Clear();
-              ++victim.generation;
-            }
-          }
-          fill = i + 1;
-          fetch.Redirect(st.actual_next_pc);
-        }
-      }
-      }
-
-      // Forced mispredictions (fault injection): squash + redirect through
-      // the normal recovery machinery.
-      if (injector.active()) {
-        for (const fault::FaultEvent& e : injector.pending()) {
-          if (e.kind != fault::FaultKind::kForceMispredict) continue;
-          if (fill == 0) {
-            injector.NoteMasked();
-            continue;
-          }
-          const int i = e.station % fill;
-          Station& st = stations[static_cast<std::size_t>(i)];
-          if (!st.valid || st.inst().op == isa::Opcode::kHalt) {
-            injector.NoteMasked();
-            continue;
-          }
-          std::size_t redirect_pc;
-          if (isa::IsControlFlow(st.inst().op)) {
-            redirect_pc = st.resolved ? st.actual_next_pc
-                                      : st.fetched.predicted_next_pc;
-          } else {
-            redirect_pc = st.fetched.pc + 1;
-          }
-          injector.NoteForcedMispredict();
-          for (int m = i + 1; m < fill; ++m) {
-            Station& victim = stations[static_cast<std::size_t>(m)];
-            if (victim.valid) {
-              ++result.stats.squashed_instructions;
-              ++result.stats.fault.squashes;
-              tel.OnSquash(cycle, m, victim);
-              victim.Clear();
-              ++victim.generation;
-            }
-          }
-          fill = i + 1;
-          fetch.Redirect(redirect_pc);
-        }
-      }
-    }
-
-    // --- Phase 4: fill the batch. ---
-    if (!done) {
-      const int free = n - fill;
-      if (free == 0) ++result.stats.window_full_cycles;
-      const int width = std::min(config_.EffectiveFetchWidth(), free);
-      fetch.FetchCycle(width, fetch_batch);
-      if (fetch_batch.empty() && free > 0 && fill > 0 && !fetch.stalled()) {
-        ++result.stats.fetch_stall_cycles;
-      }
-      for (const auto& f : fetch_batch) {
-        FillStation(stations[static_cast<std::size_t>(fill)], f, next_seq++,
-                    cycle);
-        stations[static_cast<std::size_t>(fill)].timing.station = fill;
-        tel.OnFetch(cycle, fill, stations[static_cast<std::size_t>(fill)]);
-        if (fast) {
-          fast_fill_slot(fill, stations[static_cast<std::size_t>(fill)]);
-        }
-        ++fill;
-      }
-      if (fetch.stalled() && fill == 0) {
-        done = true;
-        result.halted = true;
-      }
-    }
-  }
-
-  result.regs.resize(static_cast<std::size_t>(L));
-  for (int r = 0; r < L; ++r) {
-    result.regs[static_cast<std::size_t>(r)] =
-        regfile[static_cast<std::size_t>(r)].value;
-  }
-  result.memory = mem.store().Snapshot();
-  tel.FinalizeFaults(result.stats, injector, checker);
-  tel.FinalizeMemory(result.stats, mem, fetch);
-  return result;
+  return WindowEngine<UsiiNetwork>(config_, program).Run();
 }
 
 }  // namespace ultra::core

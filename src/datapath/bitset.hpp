@@ -118,21 +118,6 @@ void ForEachSetBit(const PackedBits& bits, Fn&& fn) {
   }
 }
 
-/// Calls fn(i) for every set lane of (a.word(w) | b.word(w)), increasing
-/// order. The operands must be the same size.
-template <typename Fn>
-void ForEachSetBitOr(const PackedBits& a, const PackedBits& b, Fn&& fn) {
-  assert(a.size() == b.size());
-  for (int w = 0; w < a.num_words(); ++w) {
-    std::uint64_t word = a.word(w) | b.word(w);
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      fn((w << 6) + bit);
-      word &= word - 1;
-    }
-  }
-}
-
 namespace packed_internal {
 
 // Multi-word block kernels. Each processes kBlockWords words per step so the
@@ -270,31 +255,6 @@ inline void PackedOrAccumulate(PackedBits& dst, const PackedBits& src) {
     count += std::popcount(a.word(w) & b.word(w));
   }
   return count;
-}
-
-/// Shifts every lane down by @p shift positions (lane i takes lane
-/// i + shift's value; the top @p shift lanes clear). Used by the hybrid
-/// core's cluster deallocation, which retires C positions at once.
-inline void PackedShiftDown(PackedBits& bits, int shift) {
-  assert(shift >= 0);
-  if (shift == 0 || bits.size() == 0) return;
-  if (shift >= bits.size()) {
-    bits.ClearAll();
-    return;
-  }
-  const int nw = bits.num_words();
-  const int ws = shift >> 6;
-  const int bs = shift & 63;
-  if (bs == 0) {
-    for (int w = 0; w + ws < nw; ++w) bits.word(w) = bits.word(w + ws);
-  } else {
-    for (int w = 0; w + ws < nw; ++w) {
-      std::uint64_t v = bits.word(w + ws) >> bs;
-      if (w + ws + 1 < nw) v |= bits.word(w + ws + 1) << (64 - bs);
-      bits.word(w) = v;
-    }
-  }
-  for (int w = nw - ws; w < nw; ++w) bits.word(w) = 0;
 }
 
 /// Index of the highest set lane in [lo, hi), or -1 when none. Word-at-a-time

@@ -9,15 +9,13 @@
 // (one writers row and one readers row per logical register), so the answer
 // becomes a word-scan: the nearest preceding writer of r is the highest set
 // bit of writers(r) below i, and "who must re-resolve when r's producer
-// changes?" is a single word-OR of readers(r) into a stale mask. Rows are
+// changes?" is a word-OR of a span of readers(r) into a stale mask. Rows are
 // mutated point-wise at the cores' event sites (fill, squash, commit,
 // result delivery) and never rebuilt wholesale, which is what lets the
 // packed cycle loops skip the per-cycle O(n) propagation entirely.
 //
-// Slot indices are whatever the owning core uses for its masks: ring
-// positions for UltrascalarI, station slots for UltrascalarII, window
-// positions for the hybrid (which shifts the rows down by C on cluster
-// deallocation via ShiftDown).
+// Slot indices are station indices on the ring of core/window_engine.hpp;
+// cyclic program order starts at the oldest station.
 #pragma once
 
 #include <cassert>
@@ -55,12 +53,6 @@ class PackedWriterMap {
     return readers_[idx(r)];
   }
 
-  /// dst |= readers(r): marks every current reader of @p r stale in one
-  /// word-OR per 64 slots.
-  void OrReadersInto(int r, PackedBits& dst) const {
-    PackedOrAccumulate(dst, readers_[idx(r)]);
-  }
-
   /// dst |= readers(r) restricted to the cyclic slot range [lo, hi) that
   /// walks forward from @p lo with wraparound (empty when lo == hi). When a
   /// producer of r changes, only the readers between it and the *next*
@@ -95,8 +87,8 @@ class PackedWriterMap {
   }
 
   /// Nearest writer of @p r strictly preceding slot @p i in the cyclic
-  /// order that starts at @p oldest (UltrascalarI's ring: the stations
-  /// preceding i are [oldest..i) walking forward with wraparound). Returns
+  /// order that starts at @p oldest (the stations preceding i are
+  /// [oldest..i) walking forward with wraparound). Returns
   /// -1 when no in-flight writer precedes i -- the reader then takes the
   /// committed register file value.
   [[nodiscard]] int NearestWriterBefore(int i, int r, int oldest) const {
@@ -108,14 +100,9 @@ class PackedWriterMap {
     return HighestSetInRange(w, oldest, slots_);
   }
 
-  /// Acyclic variant: nearest writer of @p r in slots [0, i). Slot order is
-  /// program order for UltrascalarII and position order for the hybrid.
-  [[nodiscard]] int NearestWriterBeforeAcyclic(int i, int r) const {
-    return HighestSetInRange(writers_[idx(r)], 0, i);
-  }
-
   /// Highest-slot writer of @p r, or -1. UltrascalarII's batch retire takes
-  /// each register's final value from its last writer.
+  /// each register's final value from its last writer (its ring's oldest
+  /// station is slot 0).
   [[nodiscard]] int HighestWriter(int r) const {
     const PackedBits& w = writers_[idx(r)];
     return HighestSetInRange(w, 0, slots_);
@@ -126,13 +113,6 @@ class PackedWriterMap {
   void ClearAllRows() {
     for (PackedBits& w : writers_) w.ClearAll();
     for (PackedBits& rd : readers_) rd.ClearAll();
-  }
-
-  /// Shifts every row down by @p shift slots (hybrid cluster dealloc: the
-  /// oldest C positions retire and every live position renumbers down).
-  void ShiftDown(int shift) {
-    for (PackedBits& w : writers_) PackedShiftDown(w, shift);
-    for (PackedBits& rd : readers_) PackedShiftDown(rd, shift);
   }
 
  private:

@@ -134,18 +134,6 @@ void AluScheduler::PackedGrantInto(const PackedBits& requests, int available,
   }
 }
 
-void AluScheduler::PackedGrantAcyclicInto(const PackedBits& requests,
-                                          int available, PackedBits& grants) {
-  const int n = requests.size();
-  assert(grants.size() == n);
-  assert(&grants != &requests);
-  int rank = 0;
-  for (int w = 0; w < requests.num_words(); ++w) {
-    const int hi = std::min(64, n - (w << 6));
-    GrantRange(requests.word(w), 0, hi, available, rank, grants.word(w));
-  }
-}
-
 int AluScheduler::MeasureGateDepth(std::span<const std::uint8_t> requests,
                                    int oldest) const {
   assert(requests.size() == static_cast<std::size_t>(n_));

@@ -41,8 +41,8 @@ class AluScheduler {
   void GrantInto(std::span<const std::uint8_t> requests, int available,
                  int oldest, std::span<std::uint8_t> grants) const;
 
-  /// Acyclic variant for the batch-mode Ultrascalar II (program order =
-  /// slot order, no wrap-around).
+  /// Acyclic variant (program order = slot order, no wrap-around), used by
+  /// the Ideal baseline.
   static std::vector<std::uint8_t> GrantAcyclic(
       std::span<const std::uint8_t> requests, int available);
 
@@ -52,15 +52,12 @@ class AluScheduler {
                                int available,
                                std::span<std::uint8_t> grants);
 
-  /// Word-parallel twins of GrantInto / GrantAcyclicInto: identical grant
-  /// lanes, but a fully grantable word costs one popcount instead of 64
-  /// rank steps, and once the free ALUs are exhausted whole words are
-  /// zeroed at a time. @p grants may not alias @p requests and must match
-  /// its size.
+  /// Word-parallel twin of GrantInto: identical grant lanes, but a fully
+  /// grantable word costs one popcount instead of 64 rank steps, and once
+  /// the free ALUs are exhausted whole words are zeroed at a time. @p grants
+  /// may not alias @p requests and must match its size.
   void PackedGrantInto(const PackedBits& requests, int available, int oldest,
                        PackedBits& grants) const;
-  static void PackedGrantAcyclicInto(const PackedBits& requests,
-                                     int available, PackedBits& grants);
 
   /// Critical-path gate depth of one scheduling decision. The prefix nodes
   /// add log2(n)-bit numbers, so the depth is O(log n * log log n)-ish but

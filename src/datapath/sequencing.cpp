@@ -99,12 +99,12 @@ int SequencingCspp::MeasureGateDepth(std::span<const std::uint8_t> condition,
 
 namespace {
 
-/// Shared chunk walk for the packed cyclic prefixes: visits the n lanes in
-/// cyclic order starting at @p oldest, one word-aligned chunk at a time
-/// (at most two partial chunks: the split word holding @p oldest and the
-/// array's tail word), delivering the exclusive prefix to every lane. The
-/// lane delivered to the oldest itself is the full wrap-around reduction,
-/// exactly as RunCyclicInto computes it.
+/// Shared walk for the packed cyclic prefixes: visits the n lanes in cyclic
+/// order starting at @p oldest -- the rest of the oldest's word, the whole
+/// words after it, the whole words before it, then the oldest's word below
+/// the oldest -- delivering the exclusive prefix to every lane. The lane
+/// delivered to the oldest itself is the full wrap-around reduction, exactly
+/// as RunCyclicInto computes it.
 template <bool kUseOr>
 void PackedRunCyclicInto(const PackedBits& condition, int oldest,
                          PackedBits& out) {
@@ -113,16 +113,7 @@ void PackedRunCyclicInto(const PackedBits& condition, int oldest,
   assert(oldest >= 0 && oldest < n);
   assert(&out != &condition);
   bool carry = !kUseOr;  // AND identity = true, OR identity = false.
-  int pos = oldest;
-  int processed = 0;
-  while (processed < n) {
-    const int w = pos >> 6;
-    const int lo = pos & 63;
-    // A chunk ends at the word boundary, the array end, or after the last
-    // unprocessed lane, whichever is first.
-    int hi = 64;
-    hi = std::min(hi, n - (w << 6));
-    hi = std::min(hi, lo + (n - processed));
+  const auto chunk = [&](int w, int lo, int hi) {
     if constexpr (kUseOr) {
       packed_internal::PrefixOrRange(condition.word(w), lo, hi, carry,
                                      out.word(w));
@@ -130,10 +121,15 @@ void PackedRunCyclicInto(const PackedBits& condition, int oldest,
       packed_internal::PrefixAndRange(condition.word(w), lo, hi, carry,
                                       out.word(w));
     }
-    processed += hi - lo;
-    pos = (w << 6) + hi;
-    if (pos >= n) pos = 0;
-  }
+  };
+  const int nw = condition.num_words();
+  const int w0 = oldest >> 6;
+  const int lo0 = oldest & 63;
+  const auto word_end = [n](int w) { return std::min(64, n - (w << 6)); };
+  chunk(w0, lo0, word_end(w0));
+  for (int w = w0 + 1; w < nw; ++w) chunk(w, 0, word_end(w));
+  for (int w = 0; w < w0; ++w) chunk(w, 0, 64);  // Never the tail word.
+  if (lo0 > 0) chunk(w0, 0, lo0);
   out.SetTo(oldest, carry);  // Full wrap-around reduction.
 }
 
@@ -147,19 +143,6 @@ void PackedAllPrecedingSatisfyInto(const PackedBits& condition, int oldest,
 void PackedAnyPrecedingSatisfiesInto(const PackedBits& condition, int oldest,
                                      PackedBits& out) {
   PackedRunCyclicInto</*kUseOr=*/true>(condition, oldest, out);
-}
-
-void PackedAllPrecedingSatisfyAcyclicInto(const PackedBits& condition,
-                                          PackedBits& out) {
-  const int n = condition.size();
-  assert(out.size() == n);
-  assert(&out != &condition);
-  bool carry = true;  // Vacuously true before position 0.
-  for (int w = 0; w < condition.num_words(); ++w) {
-    const int hi = std::min(64, n - (w << 6));
-    packed_internal::PrefixAndRange(condition.word(w), 0, hi, carry,
-                                    out.word(w));
-  }
 }
 
 std::vector<std::uint8_t> AllPrecedingSatisfyAcyclic(

@@ -57,8 +57,8 @@ class SequencingCspp {
   PrefixImpl impl_;
 };
 
-/// Noncyclic variant for the batch-mode Ultrascalar II: position 0 sees
-/// @p initial (vacuously true for AND).
+/// Noncyclic variant, used by the Ideal baseline: position 0 sees true
+/// (vacuously, for AND).
 std::vector<std::uint8_t> AllPrecedingSatisfyAcyclic(
     std::span<const std::uint8_t> condition);
 
@@ -76,7 +76,5 @@ void PackedAllPrecedingSatisfyInto(const PackedBits& condition, int oldest,
                                    PackedBits& out);
 void PackedAnyPrecedingSatisfiesInto(const PackedBits& condition, int oldest,
                                      PackedBits& out);
-void PackedAllPrecedingSatisfyAcyclicInto(const PackedBits& condition,
-                                          PackedBits& out);
 
 }  // namespace ultra::datapath

@@ -132,11 +132,11 @@ class MemorySystem {
 
  private:
   struct Request {
-    std::uint64_t id;
-    int leaf;
-    bool is_store;
-    isa::Word addr;
-    isa::Word loaded_value;  // Captured at architectural access time.
+    std::uint64_t id = 0;
+    int leaf = 0;
+    bool is_store = false;
+    isa::Word addr = 0;
+    isa::Word loaded_value = 0;  // Loads: captured at architectural access.
   };
 
   MemoryConfig config_;

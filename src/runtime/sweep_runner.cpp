@@ -540,10 +540,20 @@ SweepReport SweepRunner::RunImpl(
   run_list = OrderLongestFirst(points, std::move(run_list));
 
   const auto run_indices = [&](const std::vector<std::size_t>& indices) {
-    ParallelFor(
-        num_threads_, indices.size(),
-        [&](std::size_t j) { body(indices[j]); },
-        [&](std::size_t j) { return describe(indices[j]); });
+    try {
+      ParallelFor(
+          num_threads_, indices.size(),
+          [&](std::size_t j) { body(indices[j]); },
+          [&](std::size_t j) { return describe(indices[j]); });
+    } catch (const ParallelForError& e) {
+      // ParallelFor numbers failures by run-list position; callers index
+      // `points` by submission index.
+      std::vector<ParallelForError::Failure> failures = e.failures();
+      for (ParallelForError::Failure& f : failures) f.index = indices[f.index];
+      std::sort(failures.begin(), failures.end(),
+                [](const auto& a, const auto& b) { return a.index < b.index; });
+      throw ParallelForError(std::move(failures));
+    }
   };
   try {
     run_indices(run_list);

@@ -128,21 +128,6 @@ TEST(PackedBitsTest, BlockCombinersMatchPerLaneReference) {
   }
 }
 
-TEST(PackedBitsTest, ShiftDownMatchesPerLaneReference) {
-  std::uint64_t state = 0xdeadbeefcafef00dULL;
-  for (const int n : kSizes) {
-    const auto bytes = RandomBytes(n, 0.5, state);
-    for (const int shift : {0, 1, 4, 8, 63, 64, 65, n - 1, n, n + 7}) {
-      if (shift < 0) continue;
-      PackedBits bits = Pack(bytes);
-      PackedShiftDown(bits, shift);
-      std::vector<std::uint8_t> expect(static_cast<std::size_t>(n), 0);
-      for (int i = 0; i + shift < n; ++i) expect[i] = bytes[i + shift];
-      ExpectSameLanes(expect, bits, "shift-down", n, shift);
-    }
-  }
-}
-
 TEST(PackedBitsTest, RangeScansMatchLinearReference) {
   std::uint64_t state = 0x0badc0ffee0ddf00ULL;
   for (const int n : kSizes) {
@@ -202,6 +187,9 @@ TEST(PackedSequencingTest, CyclicPrefixesMatchByteLanes) {
 }
 
 TEST(PackedSequencingTest, AcyclicPrefixMatchesByteLanes) {
+  // A batch is a ring whose oldest station is 0: the cyclic packed prefix
+  // from station 0, with the oldest lane forced true as the cores force it,
+  // is the acyclic prefix.
   std::uint64_t state = 0xfeedfacecafebeefULL;
   for (const int n : kSizes) {
     std::vector<std::uint8_t> out_bytes(static_cast<std::size_t>(n));
@@ -210,7 +198,8 @@ TEST(PackedSequencingTest, AcyclicPrefixMatchesByteLanes) {
       for (int trial = 0; trial < 8; ++trial) {
         const auto cond = RandomBytes(n, density, state);
         AllPrecedingSatisfyAcyclicInto(cond, out_bytes);
-        PackedAllPrecedingSatisfyAcyclicInto(Pack(cond), out_bits);
+        PackedAllPrecedingSatisfyInto(Pack(cond), 0, out_bits);
+        out_bits.Set(0);
         ExpectSameLanes(out_bytes, out_bits, "acyclic", n, -1);
       }
     }
@@ -232,8 +221,9 @@ TEST(PackedSchedulerTest, GrantsMatchByteLanes) {
           sched.PackedGrantInto(packed, available, oldest, out_bits);
           ExpectSameLanes(out_bytes, out_bits, "grant", n, oldest);
         }
+        // A batch is a ring whose oldest station is 0.
         AluScheduler::GrantAcyclicInto(requests, available, out_bytes);
-        AluScheduler::PackedGrantAcyclicInto(packed, available, out_bits);
+        sched.PackedGrantInto(packed, available, 0, out_bits);
         ExpectSameLanes(out_bytes, out_bits, "grant-acyclic", n, -1);
       }
     }

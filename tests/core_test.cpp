@@ -103,6 +103,10 @@ struct ProgramCase {
   const char* source;
 };
 
+// Without this gtest would print the two pointers' bytes into the test name,
+// and those change with every load address.
+void PrintTo(const ProgramCase& pc, std::ostream* os) { *os << pc.name; }
+
 class AllProcessors
     : public testing::TestWithParam<std::tuple<ProcessorKind, ProgramCase>> {
 };

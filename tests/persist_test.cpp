@@ -592,6 +592,98 @@ TEST(Checkpoint, SaveBeyondRunLengthThrows) {
                std::runtime_error);
 }
 
+// --- Checkpoint byte layout pins -------------------------------------------
+//
+// The FNV-1a 64 of a checkpoint's state bytes at a fixed cycle of a fixed
+// program, one constant per (core, eval mode). The state bytes hold every
+// station, the register file, the window pointers, the datapath delivery
+// state and the fault counters, so a constant moves whenever the layout or
+// the simulated trajectory up to that cycle changes. kCheckpointVersion 3.
+
+struct CheckpointPin {
+  ProcessorKind kind;
+  core::DatapathEval eval;
+  std::uint64_t fnv;
+};
+
+void ExpectPinnedCheckpoint(const CheckpointPin& pin, const CoreConfig& base,
+                            const isa::Program& program, std::uint64_t cycle) {
+  CoreConfig cfg = base;
+  cfg.datapath_eval = pin.eval;
+  const auto proc = core::MakeProcessor(pin.kind, cfg);
+  const persist::Checkpoint ckpt = proc->SaveCheckpoint(program, cycle);
+  EXPECT_EQ(persist::Fnv1a64(ckpt.state), pin.fnv)
+      << core::ProcessorKindName(pin.kind) << " eval "
+      << static_cast<int>(pin.eval) << ": 0x" << std::hex
+      << persist::Fnv1a64(ckpt.state) << " (" << std::dec
+      << ckpt.state.size() << " bytes)";
+  // The pinned checkpoint must also resume to the uninterrupted result.
+  ExpectSameResult(proc->RestoreCheckpoint(program, ckpt),
+                   core::MakeProcessor(pin.kind, cfg)->Run(program));
+}
+
+TEST(CheckpointBytes, PinnedPerCoreAndEvalMode) {
+  const isa::Program program = workloads::BubbleSort(12);
+  CoreConfig cfg;
+  cfg.window_size = 16;
+  cfg.cluster_size = 4;
+  cfg.num_alus = 3;
+  cfg.predictor = core::PredictorKind::kTwoBit;
+  cfg.store_forwarding = true;
+  cfg.mem.mode = memory::MemTimingMode::kMagic;
+  using core::DatapathEval;
+  constexpr CheckpointPin kPins[] = {
+      {ProcessorKind::kUltrascalarI, DatapathEval::kIncremental,
+       0x03082447339dfd6d},
+      {ProcessorKind::kUltrascalarI, DatapathEval::kPacked,
+       0x849f52eed51a48be},
+      {ProcessorKind::kUltrascalarI, DatapathEval::kFullRecompute,
+       0x849f52eed51a48be},
+      {ProcessorKind::kUltrascalarII, DatapathEval::kIncremental,
+       0x53310f82165e2b09},
+      {ProcessorKind::kUltrascalarII, DatapathEval::kPacked,
+       0x508b6b0d6146488c},
+      {ProcessorKind::kUltrascalarII, DatapathEval::kFullRecompute,
+       0xf23a5c6ff9bb1c07},
+      {ProcessorKind::kHybrid, DatapathEval::kIncremental,
+       0xf7907901d732d80b},
+      {ProcessorKind::kHybrid, DatapathEval::kPacked,
+       0x7d04f4a2fe0b04b1},
+      {ProcessorKind::kHybrid, DatapathEval::kFullRecompute,
+       0x7d04f4a2fe0b04b1},
+  };
+  for (const CheckpointPin& pin : kPins) {
+    ExpectPinnedCheckpoint(pin, cfg, program, 300);
+  }
+}
+
+TEST(CheckpointBytes, PinnedUnderLiveCorruptionAndStalls) {
+  // Value corruptions sit inside the serialized datapath delivery state and
+  // injected stalls inside the per-station stall counters.
+  const isa::Program program =
+      workloads::RandomMix({.num_instructions = 768});
+  CoreConfig cfg;
+  cfg.window_size = 16;
+  cfg.cluster_size = 4;
+  cfg.mem.mode = memory::MemTimingMode::kMagic;
+  constexpr fault::FaultKind kKinds[] = {fault::FaultKind::kCorruptValue,
+                                         fault::FaultKind::kStallStation};
+  cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::Random(11, 0.05, 50'000, kKinds));
+  using core::DatapathEval;
+  constexpr CheckpointPin kPins[] = {
+      {ProcessorKind::kUltrascalarI, DatapathEval::kPacked,
+       0x97d2642e79dd2cd4},
+      {ProcessorKind::kUltrascalarII, DatapathEval::kPacked,
+       0x8ef17ca3c0c64af7},
+      {ProcessorKind::kHybrid, DatapathEval::kPacked,
+       0xb158896d94f4c1ff},
+  };
+  for (const CheckpointPin& pin : kPins) {
+    ExpectPinnedCheckpoint(pin, cfg, program, 200);
+  }
+}
+
 // --- Sweep journaling and resume ------------------------------------------
 
 std::vector<runtime::SweepPoint> SmallSweep() {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hpp"
+#include "failpoint/failpoint.hpp"
 #include "runtime/runtime.hpp"
 #include "workloads/workloads.hpp"
 
@@ -226,6 +228,56 @@ TEST(SweepRunner, WidestFirstDispatchKeepsExportsIdentical) {
       EXPECT_EQ(got.first, reference.first);
       EXPECT_EQ(got.second, reference.second);
     }
+  }
+}
+
+TEST(SweepRunner, JournalFailuresNameTheirSubmissionIndex) {
+  // Windows ascending, so widest-first dispatch runs the points in a
+  // different order from the one they were submitted in; every point gets
+  // its own label so a failure's context identifies exactly one point.
+  const auto fib = std::make_shared<const isa::Program>(
+      workloads::Fibonacci(10));
+  std::vector<runtime::SweepPoint> points;
+  for (const int window : {4, 8, 16, 32}) {
+    for (const auto kind :
+         {core::ProcessorKind::kIdeal, core::ProcessorKind::kUltrascalarI}) {
+      runtime::SweepPoint p;
+      p.kind = kind;
+      p.config.window_size = window;
+      p.config.mem.mode = memory::MemTimingMode::kMagic;
+      p.program = fib;
+      p.workload = "fib-w" + std::to_string(window);
+      points.push_back(std::move(p));
+    }
+  }
+  const std::string journal =
+      (std::filesystem::temp_directory_path() /
+       "ultra_runtime_journal_failure_index.journal")
+          .string();
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  reg.Reset();
+  // Hit 1 is the journal header; every second point append then fails.
+  ASSERT_TRUE(reg.ArmSpec("journal.append.write=eio%2"));
+  runtime::SweepOptions options;
+  options.num_threads = 1;
+  options.ensemble_batching = false;
+  std::vector<runtime::ParallelForError::Failure> failures;
+  try {
+    (void)runtime::SweepRunner(options).RunJournaled(points, journal);
+  } catch (const runtime::ParallelForError& e) {
+    failures = e.failures();
+  }
+  reg.Reset();
+  std::filesystem::remove(journal);
+  ASSERT_EQ(failures.size(), points.size() / 2);
+  for (std::size_t k = 0; k < failures.size(); ++k) {
+    const runtime::ParallelForError::Failure& f = failures[k];
+    ASSERT_LT(f.index, points.size());
+    EXPECT_EQ(f.context,
+              points[f.index].workload + " (" +
+                  std::string(core::ProcessorKindName(points[f.index].kind)) +
+                  ")");
+    if (k > 0) EXPECT_LT(failures[k - 1].index, f.index);
   }
 }
 
