@@ -8,6 +8,12 @@ baseline in scripts/perfbench_counters.json. The counters are per-round sums
 of a deterministic grid, so they do not depend on machine speed or run length;
 a change to any of them means the simulated cycles changed.
 
+It also fails when sweep_fault_telemetry's telemetry.metrics_slowdown_x (the
+per-cycle cost of the metrics-on points over the same points with metrics
+off) exceeds MAX_METRICS_SLOWDOWN_X. A ratio of two timings on one machine, it
+holds on slow and fast machines alike; the bound leaves room for noise above
+the measured 1.2.
+
 Usage, from the root of the repository:
 
     python3 scripts/perfbench_gate.py                    # check
@@ -24,6 +30,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BASELINE = os.path.join(HERE, "perfbench_counters.json")
 WORKLOADS = ("sweep_plain", "sweep_fault_telemetry")
+MAX_METRICS_SLOWDOWN_X = 2.0
 
 
 def run(workload):
@@ -77,6 +84,14 @@ def main():
             if got.get(name) != want.get(name):
                 problems.append(f"{workload}: {name} = {got.get(name)}, "
                                 f"baseline {want.get(name)}")
+        if workload == "sweep_fault_telemetry":
+            slowdown = result["metrics"].get("telemetry.metrics_slowdown_x")
+            if slowdown is None:
+                problems.append(f"{workload}: no telemetry.metrics_slowdown_x")
+            elif slowdown["value"] > MAX_METRICS_SLOWDOWN_X:
+                problems.append(f"{workload}: telemetry.metrics_slowdown_x = "
+                                f"{slowdown['value']:.2f}, above "
+                                f"{MAX_METRICS_SLOWDOWN_X}")
         print(f"{workload}: correct {result['correct']}, failed "
               f"{result['failed']}/{result['attempted']}, "
               f"{len(got)} core counters checked")

@@ -119,7 +119,9 @@ class HybridNetwork {
 
   /// Positions crossed from the nearest preceding writer (committed stations
   /// still drive the ring), or from the committed file at the head cluster.
-  static int Distance(int k, int kj) { return kj >= 0 ? k - kj : k + 1; }
+  static constexpr int Distance(int k, int kj) {
+    return kj >= 0 ? k - kj : k + 1;
+  }
 
   void WriteBack(isa::RegId r, const datapath::RegBinding& b,
                  std::uint64_t /*cycle*/) {

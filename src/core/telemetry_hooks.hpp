@@ -5,7 +5,11 @@
 // disabled-mode overhead inside bench_telemetry_overhead's 2% gate.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <span>
 
 #include "core/config.hpp"
@@ -20,6 +24,35 @@ namespace ultra::core {
 /// window occupancy, issue-to-commit latency, and propagation distance.
 inline constexpr std::uint64_t kCoreHistogramBounds[] = {
     0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
+
+/// Buckets of a core histogram: one per bound plus the overflow.
+inline constexpr int kCoreHistogramBuckets =
+    static_cast<int>(std::size(kCoreHistogramBounds)) + 1;
+
+/// The bucket MetricSheet::Observe picks for @p v on kCoreHistogramBounds,
+/// without its linear scan: bucket 0 holds 0, bucket b in [1, 11] holds
+/// (2^(b-2), 2^(b-1)], and bucket 12 is the overflow.
+constexpr int CoreHistogramBucket(std::uint64_t v) {
+  if (v == 0) return 0;
+  return std::min(kCoreHistogramBuckets - 1,
+                  1 + static_cast<int>(std::bit_width(v - 1)));
+}
+
+/// Observations binned locally on kCoreHistogramBounds, added to a sheet
+/// in one MetricSheet::ObserveBinned call.
+struct CoreHistogram {
+  std::array<std::uint64_t, kCoreHistogramBuckets> buckets{};
+  std::uint64_t sum = 0;
+
+  void Add(std::uint64_t v) {
+    ++buckets[static_cast<std::size_t>(CoreHistogramBucket(v))];
+    sum += v;
+  }
+  void Remove(std::uint64_t v) {
+    --buckets[static_cast<std::size_t>(CoreHistogramBucket(v))];
+    sum -= v;
+  }
+};
 
 class CoreTelemetry {
  public:
@@ -64,11 +97,12 @@ class CoreTelemetry {
     }
   }
 
-  /// One operand delivery: @p stations = ring/grid hops from the value's
-  /// producer (0 = own station / committed file at the oldest).
-  void OnDistance(int stations) {
+  /// Once per simulated cycle with metrics on: the propagation distance of
+  /// every operand of an uncommitted station, in positions from the value's
+  /// producer (its nearest preceding writer, or the committed file).
+  void OnDistances(const CoreHistogram& distances) {
     if (sheet_ != nullptr) {
-      sheet_->Observe(distance_, static_cast<std::uint64_t>(stations));
+      sheet_->ObserveBinned(distance_, distances.buckets, distances.sum);
     }
   }
 

@@ -188,7 +188,7 @@ class UsiNetwork {
 
   /// Ring distance from the value's source: the nearest preceding writer,
   /// or the committed file in the oldest station.
-  static int Distance(int k, int kj) {
+  static constexpr int Distance(int k, int kj) {
     if (k == 0) return 0;
     return kj >= 0 ? k - kj : k;
   }

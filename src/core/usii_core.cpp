@@ -128,7 +128,9 @@ class UsiiNetwork {
 
   /// Grid rows crossed from the nearest preceding writer, or from the
   /// register file one row above the batch.
-  static int Distance(int k, int kj) { return kj >= 0 ? k - kj : k + 1; }
+  static constexpr int Distance(int k, int kj) {
+    return kj >= 0 ? k - kj : k + 1;
+  }
 
   /// Latches each register's final value: its last in-batch writer's result,
   /// or the incoming file value when nothing in the batch writes it.

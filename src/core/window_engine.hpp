@@ -20,7 +20,9 @@
 //   ApplyFaults(injector)       Corrupts the delivery state.
 //   Recheck()                   kChecked: rebuild from inputs, count diffs.
 //   Read(window, k, i, st)      Operands of the station at position k.
-//   Distance(k, kj)             Propagation distance from writer position kj.
+//   Distance(k, kj)             Propagation distance from writer position kj
+//                               (-1: the committed file); constexpr, of the
+//                               form k - kj, or k + offset with no writer.
 //   FreeUnit(), WriteBack(r, b, cycle)   Per-commit retirement (not kBatch).
 //   Latch(window)               Batch retirement's register latch (kBatch).
 //
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "core/checkpoint_util.hpp"
+#include "core/distance_book.hpp"
 #include "core/exec.hpp"
 #include "core/fetch.hpp"
 #include "core/processor.hpp"
@@ -88,6 +91,10 @@ struct Window {
 
   /// Station of program position @p k (0 <= k <= n).
   [[nodiscard]] int Slot(int k) const { return Wrap(head + k); }
+  /// Program position of station @p i.
+  [[nodiscard]] int Position(int i) const {
+    return i >= head ? i - head : i - head + n;
+  }
   /// @p i reduced into [0, n) for 0 <= i < 2n, without a division.
   [[nodiscard]] int Wrap(int i) const { return i >= n ? i - n : i; }
 
@@ -116,6 +123,10 @@ struct Window {
   datapath::PackedBits valid_b, fin_b, iss_b, res_b, msub_b, ld_b, stb_b,
       cf_b, alu_like_b, needs_alu_b, argr_b, stale_b, mw_stale_b, cond_b,
       psd_b, pld_b, pcf_b, req_b, grant_b, stall_b;
+  // Fast tier with metrics on: core.propagation_distance, kept from the
+  // stale-set re-resolutions instead of a per-cycle sweep.
+  bool track_distances = false;
+  DistanceBook distances;
 
   /// The masks a station's occupancy sets (cleared when it leaves).
   [[nodiscard]] std::array<datapath::PackedBits*, 13> StationMasks() {
@@ -159,6 +170,7 @@ struct Window {
     if (isa::ReadsRs1(inst.op)) wmap.ClearReader(i, inst.rs1);
     if (isa::ReadsRs2(inst.op)) wmap.ClearReader(i, inst.rs2);
     for (datapath::PackedBits* p : StationMasks()) p->Clear(i);
+    if (track_distances) distances.Forget(i);
     args_at[static_cast<std::size_t>(i)] = datapath::ResolvedArgs{};
     if (fwd) mem_window[static_cast<std::size_t>(i)] = MemWindowEntry{};
   }
@@ -176,6 +188,13 @@ struct Window {
 
 template <typename Net>
 class WindowEngine : private Window {
+  // DistanceBook keeps Net::Distance incrementally, relying on its form:
+  // k - kj from a writer at position kj, k + offset from the committed file.
+  static constexpr int kNoWriterOffset = Net::Distance(1, -1) - 1;
+  static_assert(Net::Distance(9, 4) == 5 &&
+                Net::Distance(0, -1) == kNoWriterOffset &&
+                Net::Distance(9, -1) == 9 + kNoWriterOffset);
+
  public:
   WindowEngine(const CoreConfig& cfg, const isa::Program& program)
       : Window(cfg, Net::Stations(cfg),
@@ -198,7 +217,12 @@ class WindowEngine : private Window {
         v->resize(static_cast<std::size_t>(n));
       }
     }
-    last_writer_.resize(static_cast<std::size_t>(L));
+    if (fast && tel_.metrics_on()) {
+      track_distances = true;
+      distances.Assign(n, kNoWriterOffset);
+    } else if (tel_.metrics_on()) {
+      last_writer_.resize(static_cast<std::size_t>(L));
+    }
   }
 
   [[nodiscard]] RunResult Run() {
@@ -282,7 +306,7 @@ class WindowEngine : private Window {
     // Rebuild the derived shadow. Cached operands are a pure function of
     // the stations and the register file, so marking every live station
     // stale makes the first resumed cycle compute exactly the values the
-    // uninterrupted run had cached.
+    // uninterrupted run had cached, and record the same distances.
     for (int i = 0; i < n; ++i) {
       const Station& st = stations[static_cast<std::size_t>(i)];
       if (fault_stall[static_cast<std::size_t>(i)] > 0) stall_b.Set(i);
@@ -299,27 +323,11 @@ class WindowEngine : private Window {
 
   void Deliver() {
     if (fast) {
-      // Re-resolve only the stations whose operand source changed since
-      // the last cycle (their own fill, a writer's result, a commit or a
-      // squash): the nearest preceding writer's binding, verbatim, or the
-      // committed file when no station before it writes the register.
-      datapath::ForEachSetBit(stale_b, [&](int i) {
-        const Station& st = stations[static_cast<std::size_t>(i)];
-        if (!st.valid) return;
-        const isa::Instruction& inst = st.inst();
-        const auto resolve = [&](isa::RegId r) -> datapath::RegBinding {
-          const int j = wmap.NearestWriterBefore(i, r, head);
-          return j >= 0 ? stations[static_cast<std::size_t>(j)].result
-                        : net_.reg(r);
-        };
-        datapath::ResolvedArgs args;
-        if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1);
-        if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2);
-        args_at[static_cast<std::size_t>(i)] = args;
-        argr_b.SetTo(i, ArgsReady(st, args));
-        if (fwd) mw_stale_b.Set(i);
-      });
-      stale_b.ClearAll();
+      if (track_distances) {
+        DrainStale</*kTally=*/true>();
+      } else {
+        DrainStale</*kTally=*/false>();
+      }
     } else if (packed) {
       ComposeMasks();
     } else {
@@ -333,7 +341,48 @@ class WindowEngine : private Window {
       }
     }
     if (!fast) net_.Propagate(static_cast<const Window&>(*this));
-    if (tel_.metrics_on()) Distances();
+    if (tel_.metrics_on()) ObserveDistances();
+  }
+
+  /// Fast tier: re-resolves only the stations whose operand source changed
+  /// since the last cycle (their own fill, a writer's result, a commit or a
+  /// squash): the nearest preceding writer's binding, verbatim, or the
+  /// committed file when no station before it writes the register. With
+  /// @p kTally that writer also records the operand's propagation
+  /// distance; a committed hybrid station (stale only after a restore)
+  /// keeps driving the ring but no longer counts.
+  template <bool kTally>
+  void DrainStale() {
+    datapath::ForEachSetBit(stale_b, [&](int i) {
+      const Station& st = stations[static_cast<std::size_t>(i)];
+      if (!st.valid) return;
+      const isa::Instruction& inst = st.inst();
+      const bool tally = kTally && (retired == 0 || Position(i) >= retired);
+      const auto resolve = [&](isa::RegId r,
+                               int operand) -> datapath::RegBinding {
+        const int j = wmap.NearestWriterBefore(i, r, head);
+        if (tally) distances.Record(i, operand, j);
+        return j >= 0 ? stations[static_cast<std::size_t>(j)].result
+                      : net_.reg(r);
+      };
+      datapath::ResolvedArgs args;
+      if (isa::ReadsRs1(inst.op)) args.arg1 = resolve(inst.rs1, 0);
+      if (isa::ReadsRs2(inst.op)) args.arg2 = resolve(inst.rs2, 1);
+      args_at[static_cast<std::size_t>(i)] = args;
+      argr_b.SetTo(i, ArgsReady(st, args));
+      if (fwd) mw_stale_b.Set(i);
+    });
+    stale_b.ClearAll();
+  }
+
+  /// Adds this cycle's core.propagation_distance observations: the fast
+  /// tier's book, or a sweep of the window on the reference tiers.
+  [[gnu::noinline]] void ObserveDistances() {
+    if (track_distances) {
+      tel_.OnDistances(distances.Tally(head, count));
+    } else {
+      SweepDistances();
+    }
   }
 
   /// Recomposes the flag masks from the stations, one word at a time.
@@ -379,23 +428,29 @@ class WindowEngine : private Window {
     }
   }
 
-  /// Propagation-distance histogram: for each operand of an uncommitted
-  /// station, the positions crossed from its nearest preceding writer.
-  void Distances() {
+  /// Propagation-distance histogram of the reference tiers, and the
+  /// oracle the fast tier's DistanceBook is tested against: for each
+  /// operand of an uncommitted station, the positions crossed from its
+  /// nearest preceding writer, found by a sweep of the window.
+  void SweepDistances() {
     std::fill(last_writer_.begin(), last_writer_.end(), -1);
+    CoreHistogram h;
     for (int k = 0; k < count; ++k) {
       const isa::Instruction& inst =
           stations[static_cast<std::size_t>(Slot(k))].inst();
       if (k >= retired) {
         if (isa::ReadsRs1(inst.op)) {
-          tel_.OnDistance(Net::Distance(k, last_writer_[inst.rs1]));
+          h.Add(static_cast<std::uint64_t>(
+              Net::Distance(k, last_writer_[inst.rs1])));
         }
         if (isa::ReadsRs2(inst.op)) {
-          tel_.OnDistance(Net::Distance(k, last_writer_[inst.rs2]));
+          h.Add(static_cast<std::uint64_t>(
+              Net::Distance(k, last_writer_[inst.rs2])));
         }
       }
       if (isa::WritesRd(inst.op)) last_writer_[inst.rd] = k;
     }
+    tel_.OnDistances(h);
   }
 
   // --- Phase 1b: fault injection and self-checking, before any station
@@ -494,6 +549,7 @@ class WindowEngine : private Window {
       // survives; the fast tier excludes fault plans anyway).
       wmap.ClearAllRows();
       for (datapath::PackedBits* p : StationMasks()) p->ClearAll();
+      if (track_distances) distances.Reset();
     }
     count = 0;
     retired = 0;
@@ -644,8 +700,7 @@ class WindowEngine : private Window {
         ctx.prev_loads_done = pld_b.Test(i);
         ctx.committed_ok = pcf_b.Test(i);
         ctx.alu_granted = config.num_alus == 0 || grant_b.Test(i);
-        const int k = i >= head ? i - head : i - head + n;
-        if (Step(k, i, ctx)) return;
+        if (Step(Position(i), i, ctx)) return;
       }
       processed += cw;
       pos = (w << 6) + hi;
@@ -783,6 +838,9 @@ class WindowEngine : private Window {
         }
       }
       const bool halt = Commit(i, st);
+      // A committed station leaves the distance histogram; the hybrid's
+      // stays on the ring until its cluster frees.
+      if (track_distances) distances.Forget(i);
       if (++retired == net_.FreeUnit()) {
         Free(retired);
         freed = true;
@@ -802,6 +860,13 @@ class WindowEngine : private Window {
     for (int s = 0; s < k; ++s) {
       const int i = Slot(s);
       Station& st = stations[static_cast<std::size_t>(i)];
+      // A freed cluster's writers stop driving the ring, so the readers
+      // they fed now read the committed file: the same binding (it took
+      // their results at commit) but a different propagation distance.
+      if (Net::kRetire == RetireRule::kCluster && track_distances &&
+          isa::WritesRd(st.inst().op)) {
+        MarkResultChange(i, st.inst().rd);
+      }
       if (fast) ClearShadow(i, st);
       st.Clear();
       if (Net::kRetire != RetireRule::kStation) ++st.generation;
@@ -855,7 +920,7 @@ class WindowEngine : private Window {
   // Reference-tier scratch: byte-lane flags, prefixes and grants.
   std::vector<std::uint8_t> no_store_, no_load_, branch_ok_, psd_, pld_, pcf_,
       alu_req_, alu_grant_;
-  std::vector<int> last_writer_;  // Distances(): position per register.
+  std::vector<int> last_writer_;  // SweepDistances(): position per register.
   std::vector<FetchedInstr> fetch_batch_;
 };
 

@@ -298,6 +298,26 @@ inline void PackedOrAccumulate(PackedBits& dst, const PackedBits& src) {
   return -1;
 }
 
+/// Number of set lanes in [lo, hi). Touches only the words the range spans.
+[[nodiscard]] inline int PopCountInRange(const PackedBits& bits, int lo,
+                                         int hi) {
+  assert(lo >= 0 && hi <= bits.size());
+  if (lo >= hi) return 0;
+  const int wl = lo >> 6;
+  const int wh = (hi - 1) >> 6;
+  int count = 0;
+  for (int w = wl; w <= wh; ++w) {
+    std::uint64_t word = bits.word(w);
+    if (w == wl) word &= ~((1ULL << (lo & 63)) - 1);
+    if (w == wh) {
+      const int rem = hi - (w << 6);
+      if (rem < 64) word &= (1ULL << rem) - 1;
+    }
+    count += std::popcount(word);
+  }
+  return count;
+}
+
 /// dst |= (src restricted to lanes [lo, hi)). Touches only the words the
 /// range spans, so marking a short span costs O(span), not O(n).
 inline void PackedOrRangeInto(const PackedBits& src, int lo, int hi,

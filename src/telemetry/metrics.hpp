@@ -16,6 +16,7 @@
 // deterministic at any thread count.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -174,6 +175,24 @@ class MetricSheet {
     ++h[b];                        // Bucket (or overflow when b==num_bounds).
     ++h[id.num_bounds + 1];        // Count.
     h[id.num_bounds + 2] += value; // Sum.
+  }
+
+  /// Adds a batch of observations the caller has already binned:
+  /// @p buckets[b] more in bucket b (num_bounds + 1 entries, the last the
+  /// overflow), their total to the count, and @p sum to the sum. Equal to
+  /// one Observe per observation when the caller bins as Observe does.
+  void ObserveBinned(HistogramId id, std::span<const std::uint64_t> buckets,
+                     std::uint64_t sum) {
+    if (data_ == nullptr || id.slot == kInvalidSlot) return;
+    assert(buckets.size() == id.num_bounds + 1);
+    std::uint64_t* h = data_ + id.slot;
+    std::uint64_t count = 0;
+    for (std::uint32_t b = 0; b <= id.num_bounds; ++b) {
+      h[b] += buckets[b];
+      count += buckets[b];
+    }
+    h[id.num_bounds + 1] += count;
+    h[id.num_bounds + 2] += sum;
   }
 
   [[nodiscard]] std::uint64_t Value(CounterId id) const {

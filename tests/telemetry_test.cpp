@@ -2,16 +2,20 @@
 // bucket edges, the trace ring, shard-merge determinism, sweep integration
 // (per-point snapshots, byte-identical exports at any thread count), the
 // golden Perfetto export, and the Figure 3 issue-schedule acceptance check.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/core.hpp"
+#include "core/telemetry_hooks.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/workloads.hpp"
@@ -96,6 +100,45 @@ TEST(MetricSheet, HistogramBucketEdgesAreInclusiveUpperBounds) {
   EXPECT_EQ(m.buckets[3], 1u);
   EXPECT_EQ(m.count, 6u);
   EXPECT_EQ(m.sum, 0u + 1 + 10 + 11 + 20 + 21);
+}
+
+// The core's O(1) bucket picker and the bulk add must bin every value the
+// way Observe's linear scan does, on both sides of every bound.
+TEST(MetricSheet, ObserveBinnedMatchesObserveAtEveryCoreBucketEdge) {
+  MetricsRegistry reg;
+  const auto h = reg.Histogram("h", core::kCoreHistogramBounds);
+  MetricSheet one_by_one(&reg);
+  MetricSheet binned(&reg);
+  core::CoreHistogram local;
+  std::vector<std::uint64_t> values = {0, 1, 2, 3, 1u << 20};
+  for (const std::uint64_t b : core::kCoreHistogramBounds) {
+    if (b > 0) values.push_back(b - 1);
+    values.push_back(b);
+    values.push_back(b + 1);
+  }
+  for (const std::uint64_t v : values) {
+    one_by_one.Observe(h, v);
+    local.Add(v);
+    MetricSheet single(&reg);
+    single.Observe(h, v);
+    const auto snap = single.Snapshot();
+    EXPECT_EQ(snap.metrics[0].buckets[static_cast<std::size_t>(
+                  core::CoreHistogramBucket(v))],
+              1u)
+        << "v = " << v;
+  }
+  binned.ObserveBinned(h, local.buckets, local.sum);
+  EXPECT_EQ(binned.Snapshot(), one_by_one.Snapshot());
+  EXPECT_EQ(binned.Snapshot().metrics[0].count, values.size());
+
+  // Removing what was added leaves an empty batch, which adds nothing.
+  for (const std::uint64_t v : values) local.Remove(v);
+  binned.ObserveBinned(h, local.buckets, local.sum);
+  EXPECT_EQ(binned.Snapshot(), one_by_one.Snapshot());
+
+  MetricSheet unbound;
+  unbound.ObserveBinned(h, local.buckets, local.sum);  // A no-op.
+  EXPECT_TRUE(unbound.Snapshot().empty());
 }
 
 TEST(MetricSheet, MergeSumsCountersAndHistogramsMaxesGauges) {
@@ -365,7 +408,8 @@ TEST(CoreTelemetry, Figure3IssueScheduleMatchesThePaper) {
 // Packed evaluation folds the telemetry hooks into the word-parallel walk
 // instead of falling back to the incremental loop; the full metric sheet
 // (every counter, gauge, and histogram bucket) must come out identical to
-// the incremental run's on the paper's Figure 3 schedule.
+// the incremental and full-recompute runs' on the paper's Figure 3
+// schedule.
 TEST(CoreTelemetry, PackedMetricSheetMatchesIncrementalOnFigure3) {
   const auto program = workloads::Figure3Example();
   const auto run = [&](core::ProcessorKind kind, core::DatapathEval eval) {
@@ -388,6 +432,130 @@ TEST(CoreTelemetry, PackedMetricSheetMatchesIncrementalOnFigure3) {
     const auto incr = run(kind, core::DatapathEval::kIncremental);
     const auto packed = run(kind, core::DatapathEval::kPacked);
     EXPECT_EQ(packed, incr);
+    EXPECT_EQ(run(kind, core::DatapathEval::kFullRecompute), incr);
+  }
+}
+
+// The fast packed tier keeps core.propagation_distance from its stale-set
+// re-resolutions instead of sweeping the window every cycle; the reference
+// tiers keep the sweep. The whole sheet must agree across the three tiers
+// on squash-heavy, memory, dependency-chain and icache-bound programs, at
+// every window size and at both cluster sizes of the hybrid.
+struct TierCore {
+  const char* name;
+  core::ProcessorKind kind;
+  int cluster_size;
+};
+
+void PrintTo(const TierCore& c, std::ostream* os) { *os << c.name; }
+
+constexpr TierCore kTierCores[] = {
+    {"USI", core::ProcessorKind::kUltrascalarI, 8},
+    {"USII", core::ProcessorKind::kUltrascalarII, 8},
+    {"Hybrid4", core::ProcessorKind::kHybrid, 4},
+    {"Hybrid16", core::ProcessorKind::kHybrid, 16},
+};
+
+struct TierWorkload {
+  const char* name;
+};
+
+// Prints the name, not the pointer, so the ctest names stay fixed.
+void PrintTo(const TierWorkload& w, std::ostream* os) { *os << w.name; }
+
+constexpr TierWorkload kTierWorkloads[] = {
+    {"BranchStorm"}, {"RandomMix"}, {"DependencyChains"}, {"CodeFootprint"}};
+
+isa::Program TierProgram(std::string_view name) {
+  if (name == "BranchStorm") return workloads::BranchStorm(120);
+  if (name == "RandomMix") {
+    return workloads::RandomMix({.num_instructions = 2000, .seed = 5});
+  }
+  if (name == "DependencyChains") {
+    return workloads::DependencyChains(
+        {.num_instructions = 2000, .ilp = 3, .use_long_ops = true, .seed = 4});
+  }
+  return workloads::CodeFootprint({.body_instructions = 160, .iterations = 4});
+}
+
+core::CoreConfig TierConfig(const TierCore& c, int window,
+                            std::string_view program) {
+  core::CoreConfig cfg;
+  cfg.window_size = window;
+  cfg.cluster_size = std::min(c.cluster_size, window);  // C <= n.
+  cfg.mem.mode = memory::MemTimingMode::kMagic;
+  if (program == "CodeFootprint") {
+    cfg.mem.hierarchy.l1i = {.enabled = true, .sets = 4, .ways = 2,
+                             .block_bytes = 32, .hit_latency = 1,
+                             .miss_latency = 6};
+  }
+  return cfg;
+}
+
+class MetricSheetTiers
+    : public testing::TestWithParam<std::tuple<TierCore, int, TierWorkload>> {
+};
+
+TEST_P(MetricSheetTiers, AgreeAcrossEvalTiers) {
+  const auto [c, window, workload] = GetParam();
+  const std::string_view name = workload.name;
+  const isa::Program program = TierProgram(name);
+  const auto run = [&](core::DatapathEval eval) {
+    telemetry::RunTelemetry telem;
+    core::CoreConfig cfg = TierConfig(c, window, name);
+    cfg.datapath_eval = eval;
+    cfg.telemetry = &telem;
+    const auto result = core::MakeProcessor(c.kind, cfg)->Run(program);
+    EXPECT_TRUE(result.halted);
+    return telem.Snapshot();
+  };
+  const auto packed = run(core::DatapathEval::kPacked);
+  const auto* dist = packed.Find("core.propagation_distance");
+  ASSERT_NE(dist, nullptr);
+  EXPECT_GT(dist->count, 0u);
+  EXPECT_EQ(packed, run(core::DatapathEval::kIncremental));
+  EXPECT_EQ(packed, run(core::DatapathEval::kFullRecompute));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Battery, MetricSheetTiers,
+    testing::Combine(testing::ValuesIn(kTierCores),
+                     testing::Values(8, 64, 256, 1024),
+                     testing::ValuesIn(kTierWorkloads)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_n" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             std::get<2>(info.param).name;
+    });
+
+// The fast tier rebuilds its distance bookkeeping from the stations on
+// resume (nothing of it is checkpointed); a run resumed mid-way must end
+// with the sheet of the uninterrupted run.
+TEST(CoreTelemetry, PackedMetricSheetSurvivesMidRunCheckpoint) {
+  for (const TierCore& c : kTierCores) {
+    for (const char* name : {"BranchStorm", "RandomMix"}) {
+      SCOPED_TRACE(std::string(c.name) + " " + name);
+      const isa::Program program = TierProgram(name);
+      core::CoreConfig cfg = TierConfig(c, 64, name);
+      cfg.datapath_eval = core::DatapathEval::kPacked;
+
+      telemetry::RunTelemetry whole;
+      cfg.telemetry = &whole;
+      const auto proc = core::MakeProcessor(c.kind, cfg);
+      const auto base = proc->Run(program);
+      ASSERT_TRUE(base.halted);
+
+      telemetry::RunTelemetry first_half;
+      cfg.telemetry = &first_half;
+      const auto ckpt = core::MakeProcessor(c.kind, cfg)->SaveCheckpoint(
+          program, base.cycles / 2);
+      telemetry::RunTelemetry second_half;
+      cfg.telemetry = &second_half;
+      const auto resumed =
+          core::MakeProcessor(c.kind, cfg)->RestoreCheckpoint(program, ckpt);
+      EXPECT_EQ(resumed.cycles, base.cycles);
+      EXPECT_EQ(second_half.Snapshot(), whole.Snapshot());
+    }
   }
 }
 
